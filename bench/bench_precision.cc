@@ -1,5 +1,5 @@
 // bench_precision — adaptive precision-ladder QDWH vs the all-native run
-// (core/qdwh_ladder.hh, perf/prec_model.hh).
+// (core/qdwh.hh, perf/prec_model.hh).
 //
 // What it measures and checks:
 //   - the executed rung schedule (bf16 / float / native per iteration) of

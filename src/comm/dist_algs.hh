@@ -4,11 +4,10 @@
 // (in-process) messages: SUMMA-style gemm with row/column tile broadcasts,
 // right-looking distributed Cholesky with panel broadcasts, Hermitian
 // rank-k update, and the right-side triangular solves QDWH's
-// Cholesky iteration needs. dist_qdwh_chol composes them into a complete
-// distributed polar decomposition for well-conditioned matrices — the
-// message-passing counterpart of the shared-memory task path, used to
-// validate that the distribution logic (who owns what, who sends what to
-// whom) is exactly ScaLAPACK/SLATE's.
+// Cholesky iteration needs (comm/dist_qdwh.hh composes them, with the
+// distributed QR of comm/dist_qr.hh, into the distributed polar
+// decomposition). They validate that the distribution logic (who owns what,
+// who sends what to whom) is exactly ScaLAPACK/SLATE's.
 //
 // Messaging convention: sends are buffered (never block), receives block;
 // every rank executes the same loop nest, so matching is by (src, tag) with
@@ -512,24 +511,6 @@ void dist_set_identity(DistMatrix<T>& A, real_t<T> diag = 1) {
                 blas::set(T(0), i == j ? from_real<T>(diag) : T(0), A.tile(i, j));
 }
 
-struct DistQdwhInfo {
-    int iterations = 0;
-    double norm2_estimate = 0;
-    double conv = 0;
-
-    // Precision-ladder accounting (dist_qdwh_adaptive; the fixed-precision
-    // drivers leave these at their native defaults). Per executed iteration:
-    // the rung it ran on and this rank's point-to-point traffic inside the
-    // iteration-branch region only (tile staging of the QR or Cholesky
-    // body — the convergence-norm allreduce and barrier are excluded, so a
-    // float-rung iteration's bytes are *exactly* sizeof(float-kind) /
-    // sizeof(native) times the native iteration's, with equal message
-    // counts; asserted in test_precision).
-    std::vector<prec::Prec> rungs;
-    std::vector<std::uint64_t> iter_bytes_sent;
-    std::vector<std::uint64_t> iter_msgs_sent;
-};
-
 /// Local element-wise precision conversion between conforming distributed
 /// matrices on the same grid (identical ownership, no communication).
 template <typename TS, typename TD>
@@ -546,69 +527,6 @@ void dist_convert(DistMatrix<TS>& A, DistMatrix<TD>& B) {
                     d(r, c) = static_cast<TD>(s(r, c));
         }
     }
-}
-
-/// Fully distributed QDWH (Cholesky-iteration variant) for square,
-/// reasonably conditioned matrices: the message-passing counterpart of the
-/// shared-memory solver, composed entirely of the distributed kernels above
-/// (norm2est with Allreduce, herk, potrf, the two right trsms, axpy, norms).
-/// Every rank returns the same info.
-template <typename T>
-DistQdwhInfo dist_qdwh_chol(Communicator& c, Grid g, DistMatrix<T>& A,
-                            double l0, int max_iter = 30) {
-    using R = real_t<T>;
-    int const nt = A.nt();
-    tbp_require(A.mt() == nt);
-
-    DistQdwhInfo info;
-    R const eps = std::numeric_limits<R>::epsilon();
-    R const tol3 = std::cbrt(R(5) * eps);
-    R const tol1 = R(5) * eps;
-
-    // Scale by the distributed two-norm estimate.
-    R const alpha = dist_norm2est(c, A);
-    info.norm2_estimate = static_cast<double>(alpha);
-    tbp_require(alpha > R(0));
-    for (int j = 0; j < nt; ++j)
-        for (int i = 0; i < nt; ++i)
-            if (A.is_local(i, j))
-                blas::scale(from_real<T>(R(1) / alpha), A.tile(i, j));
-
-    DistMatrix<T> Aprev(c, A.m(), A.n(), A.tile_nb(0), g);
-    DistMatrix<T> Z(c, A.n(), A.n(), A.tile_nb(0), g);
-
-    R li = static_cast<R>(l0);
-    R conv = R(100);
-    while ((conv >= tol3 || std::abs(li - R(1)) >= tol1)
-           && info.iterations < max_iter) {
-        R const l2 = li * li;
-        R const dd = std::cbrt(R(4) * (R(1) - l2) / (l2 * l2));
-        R const sqd = std::sqrt(R(1) + dd);
-        R const a = sqd
-                    + std::sqrt(R(8) - R(4) * dd
-                                + R(8) * (R(2) - l2) / (l2 * sqd))
-                          / R(2);
-        R const b = (a - R(1)) * (a - R(1)) / R(4);
-        R const cc = a + b - R(1);
-        li = li * (a + b * l2) / (R(1) + cc * l2);
-        tbp_require(cc <= R(100));  // Cholesky variant only (well-conditioned)
-
-        dist_copy(A, Aprev);
-        dist_set_identity(Z);
-        dist_herk(c, g, cc, A, R(1), Z);
-        dist_potrf(c, g, Z);
-        dist_trsm_right_lower(c, g, Op::ConjTrans, Z, A);
-        dist_trsm_right_lower(c, g, Op::NoTrans, Z, A);
-        dist_add(Aprev, from_real<T>(b / cc), from_real<T>(a - b / cc), A);
-
-        // conv = ||A - Aprev||_F via the distributed norm.
-        dist_add(A, T(1), T(-1), Aprev);
-        conv = dist_norm_fro(c, Aprev);
-        ++info.iterations;
-        c.barrier();
-    }
-    info.conv = static_cast<double>(conv);
-    return info;
 }
 
 }  // namespace tbp::comm

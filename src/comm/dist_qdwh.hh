@@ -22,6 +22,24 @@
 
 namespace tbp::comm {
 
+/// Result of dist_qdwh.
+struct DistQdwhInfo {
+    int iterations = 0;
+    double norm2_estimate = 0;
+    double conv = 0;
+
+    // Per executed iteration: the precision-ladder rung it ran on (native
+    // throughout under a Native policy) and this rank's point-to-point
+    // traffic inside the iteration-branch region only (tile staging of the
+    // QR or Cholesky body — the convergence-norm allreduce and barrier are
+    // excluded, so a float-rung iteration's bytes are *exactly*
+    // sizeof(float-kind) / sizeof(native) times the native iteration's,
+    // with equal message counts; asserted in test_precision).
+    std::vector<prec::Prec> rungs;
+    std::vector<std::uint64_t> iter_bytes_sent;
+    std::vector<std::uint64_t> iter_msgs_sent;
+};
+
 namespace detail {
 
 /// Distributed workspaces of one QDWH iteration in one scalar type — the
@@ -40,9 +58,9 @@ struct DistQdwhWork {
 };
 
 /// One distributed QDWH iteration (both branches): A := f_k(A) with weights
-/// (a, b, cc), leaving the entering iterate in w.Aprev. Extracted from
-/// dist_qdwh so the precision ladder can run it on a float shadow matrix
-/// set; `tag_base` advances by the same span on every rank and rung.
+/// (a, b, cc), leaving the entering iterate in w.Aprev. dist_qdwh runs it on
+/// the native matrices or, on a low rung, on a float shadow matrix set;
+/// `tag_base` advances by the same span on every rank and rung.
 template <typename T>
 void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
                     DistQdwhWork<T>& w, double da, double db, double dcc,
@@ -156,111 +174,42 @@ void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
 
 /// Distributed QDWH: A (m x n tiles, m >= n, m % nb == 0) is overwritten by
 /// U_p. l0 is a lower bound on sigma_min(A)/sigma_max(A). Every rank
-/// returns identical info.
+/// returns identical info scalars; the per-iteration traffic vectors are
+/// this rank's own counts.
 ///
 /// The matrices live on g3's p x q layer grid; with g3.c > 1 the trailing
 /// A := theta Q1 Q2^H + beta A update of each QR iteration runs as 2.5D
 /// SUMMA over the replication layers (the factorizations, norms, and the
 /// Cholesky branch stay on layer 0, with layers >= 1 idle or contributing
 /// exact zeros to the collectives — in deterministic mode the ascending-
-/// rank folds make every iterate bit-identical to the 2D oracle).
+/// rank folds make every iterate bit-identical to the 2D run).
+///
+/// Precision ladder: the rung schedule is prec::plan_rungs of (l0, tol1,
+/// max_iter, pol) — a pure double computation every rank performs
+/// identically, so no rank ever disagrees about payload element types (the
+/// default Native policy plans every iteration native). A low-rung
+/// iteration's branch body runs on a float shadow matrix set, so every
+/// staged tile payload (panel broadcasts, SUMMA steps, trsm columns) ships
+/// sizeof(float-kind) bytes per element instead of sizeof(native): exactly
+/// half the double-kind branch-region volume, with an unchanged message
+/// count and tag stream. Iterates entering and leaving a low iteration
+/// convert locally (zero communication), and the convergence norm runs
+/// natively every iteration. There is no fallback promotion here (a
+/// mid-iteration rung switch would desynchronize posted receives): a
+/// non-finite iterate is a hard error.
 template <typename T>
 DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
-                       double l0, int max_iter = 30) {
-    using R = real_t<T>;
-    Grid const g = g3.layer();
-    tbp_require(c.size() == g3.size());
-    int const mt = A.mt(), nt = A.nt();
-    int const nb = A.tile_nb(0);
-    tbp_require(A.m() >= A.n());
-    tbp_require(A.tile_mb(mt - 1) == A.tile_mb(0));  // m % nb == 0
-
-    DistQdwhInfo info;
-    R const eps = std::numeric_limits<R>::epsilon();
-    R const tol3 = std::cbrt(R(5) * eps);
-    R const tol1 = R(5) * eps;
-
-    R const alpha = dist_norm2est(c, A);
-    info.norm2_estimate = static_cast<double>(alpha);
-    tbp_require(alpha > R(0));
-    for (int j = 0; j < nt; ++j)
-        for (int i = 0; i < mt; ++i)
-            if (A.is_local(i, j))
-                blas::scale(from_real<T>(R(1) / alpha), A.tile(i, j));
-
-    detail::DistQdwhWork<T> w(c, A.m(), A.n(), nb, g);
-
-    R li = std::min(std::max(static_cast<R>(l0),
-                             std::numeric_limits<R>::min() * R(100)),
-                    R(1));
-    R conv = R(100);
-    int tag_base = 1 << 26;
-
-    while ((conv >= tol3 || std::abs(li - R(1)) >= tol1)
-           && info.iterations < max_iter) {
-        R const l2 = li * li;
-        R const dd = std::cbrt(R(4) * (R(1) - l2) / (l2 * l2));
-        R const sqd = std::sqrt(R(1) + dd);
-        R const a = sqd
-                    + std::sqrt(R(8) - R(4) * dd
-                                + R(8) * (R(2) - l2) / (l2 * sqd))
-                          / R(2);
-        R const b = (a - R(1)) * (a - R(1)) / R(4);
-        R const cc = a + b - R(1);
-        li = li * (a + b * l2) / (R(1) + cc * l2);
-
-        // Branch-region traffic snapshot, mirroring dist_qdwh_adaptive so
-        // per-iteration counters are comparable across the two drivers.
-        CommStats const s0 = c.stats();
-        detail::dist_qdwh_iter(c, g3, A, w, static_cast<double>(a),
-                               static_cast<double>(b),
-                               static_cast<double>(cc), tag_base);
-        CommStats const s1 = c.stats();
-        info.iter_bytes_sent.push_back(s1.bytes_sent - s0.bytes_sent);
-        info.iter_msgs_sent.push_back(s1.sends - s0.sends);
-
-        dist_add(A, T(1), T(-1), w.Aprev);
-        conv = dist_norm_fro(c, w.Aprev);
-        info.rungs.push_back(prec::native_prec<T>());
-        ++info.iterations;
-        c.barrier();
-    }
-    info.conv = static_cast<double>(conv);
-    return info;
-}
-
-/// Distributed QDWH with the adaptive precision ladder: the same iteration
-/// stream as dist_qdwh, but each iteration's branch body runs on a float
-/// shadow matrix set when its planned rung is low — every staged tile
-/// payload (panel broadcasts, SUMMA steps, trsm columns) ships
-/// sizeof(float-kind) bytes per element instead of sizeof(native), exactly
-/// halving the double-kind branch-region communication volume with an
-/// unchanged message count and tag stream.
-///
-/// The rung schedule is prec::plan_rungs of (l0, tol1, max_iter, pol) — a
-/// pure double computation every rank performs identically, so no rank ever
-/// disagrees about payload element types. There is no fallback promotion in
-/// the distributed driver (a mid-iteration rung switch would desynchronize
-/// posted receives); a non-finite low-rung iterate is a hard error here,
-/// and the convergence norm runs natively each iteration regardless of
-/// rung. Iterates entering and leaving a low iteration convert locally
-/// (zero communication). Every rank returns identical info scalars; the
-/// per-iteration traffic vectors are this rank's own counts.
-template <typename T>
-DistQdwhInfo dist_qdwh_adaptive(Communicator& c, ProcGrid3d g3,
-                                DistMatrix<T>& A, double l0,
-                                prec::PrecisionPolicy const& pol,
-                                int max_iter = 30) {
+                       double l0, int max_iter = 30,
+                       prec::PrecisionPolicy const& pol = {}) {
     using R = real_t<T>;
     using S = prec::shadow_t<T>;
     prec::Prec const native = prec::native_prec<T>();
     Grid const g = g3.layer();
     tbp_require(c.size() == g3.size());
-    int const mt = A.mt(), nt = A.nt();
+    int const mt = A.mt();
     int const nb = A.tile_nb(0);
     tbp_require(A.m() >= A.n());
     tbp_require(A.tile_mb(mt - 1) == A.tile_mb(0));  // m % nb == 0
-    (void)nt;
 
     DistQdwhInfo info;
     R const eps = std::numeric_limits<R>::epsilon();
@@ -315,11 +264,7 @@ DistQdwhInfo dist_qdwh_adaptive(Communicator& c, ProcGrid3d g3,
             {
                 // Bf16 packs gemm operands at the blas level on each rank's
                 // own thread — install the exec-side mode directly.
-                prec::ExecModeScope mode_scope(
-                    rung == prec::Prec::Bf16
-                        ? (pol.compensated ? prec::GemmMode::Bf16Comp
-                                           : prec::GemmMode::Bf16)
-                        : prec::GemmMode::Native);
+                prec::ExecModeScope mode_scope(prec::gemm_mode(rung, pol));
                 detail::dist_qdwh_iter(c, g3, *As, *sw, pw.a, pw.b, pw.c,
                                        tag_base);
             }
@@ -333,8 +278,8 @@ DistQdwhInfo dist_qdwh_adaptive(Communicator& c, ProcGrid3d g3,
         dist_add(A, T(1), T(-1), w.Aprev);
         conv = dist_norm_fro(c, w.Aprev);
         if (!std::isfinite(static_cast<double>(conv)))
-            tbp_throw("dist_qdwh_adaptive: non-finite iterate (no fallback "
-                      "in the distributed driver)");
+            tbp_throw("dist_qdwh: non-finite iterate (no fallback in the "
+                      "distributed driver)");
         ++info.iterations;
         c.barrier();
     }
@@ -345,8 +290,9 @@ DistQdwhInfo dist_qdwh_adaptive(Communicator& c, ProcGrid3d g3,
 /// 2D entry point: the p x q grid spans the whole communicator (c == 1).
 template <typename T>
 DistQdwhInfo dist_qdwh(Communicator& c, Grid g, DistMatrix<T>& A, double l0,
-                       int max_iter = 30) {
-    return dist_qdwh(c, ProcGrid3d{g.p, g.q, 1}, A, l0, max_iter);
+                       int max_iter = 30,
+                       prec::PrecisionPolicy const& pol = {}) {
+    return dist_qdwh(c, ProcGrid3d{g.p, g.q, 1}, A, l0, max_iter, pol);
 }
 
 }  // namespace tbp::comm

@@ -39,9 +39,9 @@
 // native iterations cannot undo (they converge to the polar factor of the
 // perturbed iterate): the adaptive ladder's contract is native
 // *orthogonality* with a backward error at the lowest executed rung's
-// precision — the standard mixed-precision polar trade (see qdwh_mixed for
-// the float-only variant, and polar_refine_ns to buy the backward error
-// back down when required).
+// precision — the standard mixed-precision polar trade (qdwh_mixed, the
+// float-only variant, has the same contract; a native backward error needs
+// the Native request).
 
 #pragma once
 
@@ -124,8 +124,9 @@ struct PrecisionPolicy {
     int force_fallback_iter = -1;
 };
 
-/// Dynamic QDWH weights and the l-update, in double — the exact recurrence
-/// of detail::qdwh_impl evaluated at planning precision.
+/// Dynamic QDWH weights and the l-update, in double (Algorithm 1 lines
+/// 23-27). The only (a, b, c) formula: the shared-memory and distributed
+/// QDWH loops and plan_rungs all evaluate this function.
 struct QdwhWeights {
     double a = 0, b = 0, c = 0;
     double li_next = 0;
@@ -159,6 +160,14 @@ inline Prec promote(Prec rung, Prec native) {
     if (rung == Prec::Bf16 && native == Prec::Double)
         return Prec::Float;
     return native;
+}
+
+/// Gemm mode of a low rung: simulated bf16 (plain or compensated) on the
+/// bf16 rung, plain arithmetic on every other rung.
+inline GemmMode gemm_mode(Prec rung, PrecisionPolicy const& pol) {
+    if (rung != Prec::Bf16)
+        return GemmMode::Native;
+    return pol.compensated ? GemmMode::Bf16Comp : GemmMode::Bf16;
 }
 
 /// Does `request` put a run of scalar kind `native` on the ladder at all?

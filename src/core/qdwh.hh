@@ -23,6 +23,43 @@
 //
 // All four scalar types are supported; execution is task-dataflow or
 // fork-join depending on the engine's mode (paper's SLATE vs ScaLAPACK).
+//
+// Precision ladder. There is one iteration loop (detail::qdwh_run); what
+// QdwhOptions::precision changes is *where* each iteration's flops run. A
+// pre-computed rung plan (prec::plan_rungs, a pure function of the condition
+// estimate l0) assigns every iteration to simulated-bf16, float, or the
+// native type; a Native request is simply the all-native plan.
+//
+//   native rung — the iteration body runs on the native buffers.
+//   float rung  — the entering iterate converts into a float shadow
+//                 workspace, the body runs there (every QR/Cholesky flop in
+//                 float, half the memory traffic), and the result converts
+//                 back. The two O(n^2) conversion sweeps are the price for
+//                 O(n^3) iteration flops at the float rate.
+//   bf16 rung   — the float-rung body under an active bf16 gemm mode:
+//                 pack-time truncation of every gemm operand to bf16 with
+//                 fp32 accumulation (see blas/kernel/gemm.hh), optionally
+//                 compensated.
+//
+// The l recurrence runs in double (prec::qdwh_weights — the same pure
+// function the plan, the distributed driver and the cost model use), so the
+// executed schedule is deterministic at fixed inputs and identical across
+// execution targets and process grids.
+//
+// Fallback: a low-precision Cholesky iteration whose operand loses
+// numerical positive definiteness throws from potrf; the error surfaces at
+// the convergence-norm sync, the engine quiesces, and the iteration re-runs
+// one rung up from the *intact* native iterate (bodies only write the
+// shadow and `oth` buffers). A native-rung failure, or a non-finite native
+// iterate, is terminal (Status::NumericalError). Promotions are recorded in
+// info.fallbacks, and a fallback that discarded partially executed work
+// clears info.kernel_flops_exact (the cost model cannot replay a poisoned
+// half-iteration's charges).
+//
+// Accuracy: the final planned iterations and every conv-driven straggler
+// run native (policy tail_native >= 1 by default), and one native Halley
+// step cubes the float-level error (1e-7^3 << eps64), so the loop exits at
+// native orthogonality; H = U^H A is computed natively from the original A.
 
 #pragma once
 
@@ -36,8 +73,7 @@
 #include "common/error.hh"
 #include "common/precision.hh"
 #include "common/types.hh"
-#include "cond/condest.hh"
-#include "cond/norm2est.hh"
+#include "core/polar_stages.hh"
 #include "core/precision_policy.hh"
 #include "device/executor.hh"
 #include "linalg/gemm.hh"
@@ -85,11 +121,11 @@ struct QdwhOptions {
     /// Explicit 2.5D replication depth c (> 1 forces that many layers);
     /// 0 = derive from comm_plan.
     int repl = 0;
-    /// Precision-ladder policy (core/precision_policy.hh). Native keeps the
-    /// pre-ladder single-precision-type loop; Float/Bf16/Adaptive run
-    /// admissible iterations on lower rungs with a native tail and native H
-    /// polish, promoting a failed low-precision Cholesky iterate one rung
-    /// up instead of aborting.
+    /// Precision-ladder policy (core/precision_policy.hh). Native (and
+    /// Double) plan every iteration on the matrix's own type; Float/Bf16/
+    /// Adaptive plan admissible iterations on lower rungs with a native tail
+    /// and native H, promoting a failed low-precision Cholesky iterate one
+    /// rung up instead of aborting. Every request runs the same loop.
     prec::PrecisionPolicy precision;
     /// Model device staging streams in the batched executor (BatchedHost
     /// only). The service layer turns this off: its jobs run on private
@@ -117,7 +153,7 @@ struct QdwhInfo {
     double stream_h2d_bytes = 0;     ///< modeled device staging volume
     double stream_overlap = 1.0;     ///< modeled copy/compute overlap
 
-    // Precision-ladder accounting. The plain (native) path reports every
+    // Precision-ladder accounting. A Native request reports every
     // iteration at the native rung.
     std::vector<prec::Prec> rungs;  ///< executed rung per iteration
     int fallbacks = 0;  ///< low-rung attempts re-run one rung up
@@ -132,12 +168,230 @@ struct QdwhInfo {
 };
 
 namespace detail {
+
+/// One QDWH iteration (Algorithm 1 lines 30-44): reads cur, writes A_k into
+/// oth; ws provides the stacked W/Q/T and Z scratch. The weights arrive in
+/// double (the planning precision) and are applied in R. The QR-based
+/// branch (Eq. 1) runs while c > 100, the Cholesky-based branch (Eq. 2)
+/// after; a Cholesky operand that is not numerically HPD throws tbp::Error
+/// (surfaced at a sync point), which is the ladder's fallback trigger.
 template <typename Ex, typename T>
-Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
-                 QdwhOptions const& opts);
+void qdwh_iter(Ex& eng, prec::QdwhWeights const& w, TiledMatrix<T>& cur,
+               TiledMatrix<T>& oth, QdwhWorkspace<T>& ws,
+               QdwhOptions const& opts) {
+    using R = real_t<T>;
+    double const a = w.a, b = w.b, c = w.c;
+    if (!w.qr) {
+        la::copy(eng, cur, oth);
+        la::set_identity(eng, ws.Z);
+        la::herk(eng, Uplo::Lower, Op::ConjTrans, static_cast<R>(c), cur,
+                 R(1), ws.Z);
+        la::potrf(eng, Uplo::Lower, ws.Z, opts.lookahead);
+        la::trsm(eng, Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit,
+                 T(1), ws.Z, oth);
+        la::trsm(eng, Side::Right, Uplo::Lower, Op::NoTrans, Diag::NonUnit,
+                 T(1), ws.Z, oth);
+        // A_k = (b/c) A_{k-1} + (a - b/c) A_{k-1} Z^{-1}
+        la::add(eng, from_real<T>(static_cast<R>(b / c)), cur,
+                from_real<T>(static_cast<R>(a - b / c)), oth);
+        return;
+    }
+    int const mt = cur.mt(), nt = cur.nt();
+    TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
+    TiledMatrix<T> W2 = ws.W.sub(mt, 0, nt, nt);
+    TiledMatrix<T> Q1 = ws.Q.sub(0, 0, mt, nt);
+    TiledMatrix<T> Q2 = ws.Q.sub(mt, 0, nt, nt);
+    la::copy(eng, cur, W1);
+    la::scale(eng, from_real<T>(static_cast<R>(std::sqrt(c))), W1);
+    R const theta = static_cast<R>((a - b / c) / std::sqrt(c));
+    R const beta = static_cast<R>(b / c);
+    if (opts.structured_qr) {
+        la::geqrf_stacked_tri(eng, ws.W, mt, T(1), ws.Tw, opts.lookahead);
+        la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
+        // Q2 = R^{-1} is block upper triangular; the out-of-place
+        // triangular gemm writes A_k while A_{k-1} survives in cur.
+        la::gemm_rt_upper(eng, from_real<T>(theta), Q1, Q2,
+                          from_real<T>(beta), cur, oth);
+    } else {
+        la::set_identity(eng, W2);
+        la::geqrf(eng, ws.W, ws.Tw, opts.lookahead);
+        la::ungqr(eng, ws.W, ws.Tw, ws.Q);
+        la::copy(eng, cur, oth);
+        la::gemm(eng, Op::NoTrans, Op::ConjTrans, from_real<T>(theta), Q1, Q2,
+                 from_real<T>(beta), oth);
+    }
+}
+
+/// Body of qdwh_status after validation; may throw tbp::Error from task
+/// synchronization points (caught and mapped by qdwh_status). `Ex` is
+/// rt::Engine (per-tile tasks) or dev::Executor (batched device path).
 template <typename Ex, typename T>
-Status qdwh_ladder_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                        QdwhInfo& info, QdwhOptions const& opts);
+Status qdwh_run(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
+                QdwhOptions const& opts) {
+    using R = real_t<T>;
+    using S = prec::shadow_t<T>;
+    prec::Prec const native = prec::native_prec<T>();
+    prec::PrecisionPolicy const& pol = opts.precision;
+    double const flops0 = eng.flops_executed();
+
+    R const eps = std::numeric_limits<R>::epsilon();
+    double const tol1 = static_cast<double>(R(5) * eps);  // |L - 1|
+    R const tol3 = std::cbrt(R(5) * eps);  // ||A_k - A_{k-1}||_F
+
+    auto const row_sizes = A.row_tile_sizes();
+    auto const col_sizes = A.col_tile_sizes();
+
+    eng.wait();  // quiesce pending caller tasks: clone() reads tiles directly
+    // Workspaces (Algorithm 1 lines 4-6). Aalt is the rotation partner of
+    // A: each iteration writes A_k into whichever of the two buffers holds
+    // A_{k-2}, so no per-iteration Aprev copy sweep is needed.
+    TiledMatrix<T> Acpy = A.clone();  // backup of the *unscaled* A, for H
+    TiledMatrix<T> Aalt(row_sizes, col_sizes, A.grid());
+    QdwhWorkspace<T> ws(row_sizes, col_sizes, A.grid());
+
+    // --- Stages 1-2: scaling and condition estimate (lines 11-19) --------
+    auto const est = scale_and_condest(eng, A, ws, opts.condest_override,
+                                       opts.lookahead);
+    if (est.alpha == R(0)) {
+        info.flops = eng.flops_executed() - flops0;
+        return Status::ZeroMatrix;
+    }
+    info.norm2_estimate = static_cast<double>(est.alpha);
+    // Clamp into a sane open interval: an exact 0 (singular estimate) still
+    // converges with the worst-case parameters; > 1 cannot happen for a
+    // correctly scaled iterate but guards estimator overshoot.
+    R const li_floor = std::numeric_limits<R>::min() * R(100);
+    double li =
+        static_cast<double>(std::min(std::max(est.l0, li_floor), R(1)));
+    info.condest_l0 = li;
+
+    // The rung schedule is a pure function of l0 (a Native request plans
+    // every iteration on the native rung), shared with the distributed
+    // driver and the precision cost model.
+    auto const plan = prec::plan_rungs(li, tol1, opts.max_iter, pol, native);
+
+    // Shadow workspaces, allocated on first low-rung use (an all-native
+    // plan never pays for them).
+    TiledMatrix<S> Scur, Soth;
+    QdwhWorkspace<S> sws;
+    auto ensure_shadow = [&] {
+        if (!Scur.empty())
+            return;
+        Scur = TiledMatrix<S>(row_sizes, col_sizes, A.grid());
+        Soth = TiledMatrix<S>(row_sizes, col_sizes, A.grid());
+        sws = QdwhWorkspace<S>(row_sizes, col_sizes, A.grid());
+    };
+
+    // --- Stage 3: main iteration (lines 21-50) ----------------------------
+    // Per-precision measured-counter snapshot: every preceding charging op
+    // (norm2est's gemvs, the condest QR) has synchronized, and the ops
+    // still in flight (scale) charge nothing, so the deltas taken at the
+    // end cover exactly the iteration loop + H stage.
+    std::array<double, prec::kNumPrec> kf0{};
+    for (int p = 0; p < prec::kNumPrec; ++p)
+        kf0[static_cast<std::size_t>(p)] =
+            blas::kernel::flops_performed(static_cast<prec::Prec>(p));
+
+    R conv = R(100);
+    auto const unconverged = [&] {
+        return conv >= tol3 || std::abs(li - 1.0) >= tol1;
+    };
+    // Buffer rotation: `cur` holds A_{k-1}, the iteration writes A_k into
+    // `oth`, the convergence check reads both, then the roles swap.
+    TiledMatrix<T>* cur = &A;
+    TiledMatrix<T>* oth = &Aalt;
+    bool forced_fallback_done = false;
+
+    while (unconverged() && info.iterations < opts.max_iter) {
+        std::size_t const k = static_cast<std::size_t>(info.iterations);
+        prec::QdwhWeights const w = prec::qdwh_weights(li);  // lines 23-27
+        li = w.li_next;
+        info.li_history.push_back(li);
+        prec::Prec rung = k < plan.size() ? plan[k].rung : native;
+
+        for (;;) {  // fallback: retry one rung up until native
+            bool failed = false;
+            if (pol.force_fallback_iter == info.iterations && rung != native
+                && !forced_fallback_done) {
+                // Test hook: fail *before* submission, so no partial
+                // charges are discarded and accounting stays exact.
+                forced_fallback_done = true;
+                failed = true;
+            } else {
+                try {
+                    if (rung == native) {
+                        qdwh_iter(eng, w, *cur, *oth, ws, opts);
+                    } else {
+                        // Low rung: the iterate converts into the shadow
+                        // workspace, the body runs there and converts back.
+                        ensure_shadow();
+                        la::convert_copy(eng, *cur, Scur);
+                        {
+                            // Submission-side mode: captured into every
+                            // task (and batch-group key) this scope emits.
+                            prec::ScopedGemmMode mode_scope(
+                                prec::gemm_mode(rung, pol));
+                            qdwh_iter(eng, w, Scur, Soth, sws, opts);
+                        }
+                        la::convert_copy(eng, Soth, *oth);
+                    }
+                    // conv = ||A_k - A_{k-1}||_F (lines 47-48): one fused
+                    // read-only sweep over both buffers. Synchronizes.
+                    conv = la::diff_norm_fro(eng, *oth, *cur);
+                    if (!std::isfinite(static_cast<double>(conv))) {
+                        failed = true;
+                        info.kernel_flops_exact = false;
+                    }
+                } catch (Error const&) {
+                    if (rung == native)
+                        throw;  // terminal, mapped by qdwh_status
+                    try {
+                        eng.wait();  // quiesce the poisoned DAG
+                    } catch (...) {
+                    }
+                    failed = true;
+                    info.kernel_flops_exact = false;
+                }
+            }
+            if (!failed)
+                break;
+            if (rung == native)
+                tbp_throw("qdwh: non-finite iterate at native precision");
+            rung = prec::promote(rung, native);
+            ++info.fallbacks;
+        }
+
+        info.rungs.push_back(rung);
+        if (w.qr)
+            ++info.it_qr;
+        else
+            ++info.it_chol;
+        std::swap(cur, oth);
+        ++info.iterations;
+    }
+    if (cur != &A)
+        la::copy(eng, *cur, A);
+    info.conv = static_cast<double>(conv);
+    if (info.iterations >= opts.max_iter && unconverged()) {
+        eng.wait();
+        info.flops = eng.flops_executed() - flops0;
+        return Status::NotConverged;
+    }
+    info.converged = true;
+
+    // --- Stage 4: H = U_p^H A, always native (line 52) --------------------
+    if (opts.compute_h)
+        polar_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
+    eng.wait();
+
+    for (int p = 0; p < prec::kNumPrec; ++p)
+        info.kernel_flops_by_prec[static_cast<std::size_t>(p)] =
+            blas::kernel::flops_performed(static_cast<prec::Prec>(p))
+            - kf0[static_cast<std::size_t>(p)];
+    info.flops = eng.flops_executed() - flops0;
+    return Status::Ok;
+}
+
 }  // namespace detail
 
 /// Status-returning polar decomposition A = U_p H by QDWH (the batched
@@ -160,8 +414,6 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     if (opts.max_iter < 1)
         return Status::InvalidArgument;
 
-    bool const ladder =
-        prec::ladder_engaged(opts.precision.request, prec::native_prec<T>());
     try {
         if (opts.target == dev::Target::BatchedHost) {
             dev::ExecOptions eo;
@@ -172,8 +424,7 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                             * static_cast<std::size_t>(A.tile_nb(0))
                             * sizeof(T);
             dev::Executor ex(eng, eo);
-            Status const s = ladder ? detail::qdwh_ladder_impl(ex, A, H, info, opts)
-                                    : detail::qdwh_impl(ex, A, H, info, opts);
+            Status const s = detail::qdwh_run(ex, A, H, info, opts);
             auto const& bs = ex.batch_stats();
             info.tile_ops = bs.ops;
             info.engine_tasks = bs.tasks;
@@ -182,8 +433,7 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
             info.stream_overlap = ex.stream_stats().overlap_fraction();
             return s;
         }
-        return ladder ? detail::qdwh_ladder_impl(eng, A, H, info, opts)
-                      : detail::qdwh_impl(eng, A, H, info, opts);
+        return detail::qdwh_run(eng, A, H, info, opts);
     } catch (Error const&) {
         // A task-level numerical failure (e.g. a non-HPD Cholesky pivot)
         // surfaced at a synchronization point. Quiesce so the engine is
@@ -195,242 +445,6 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
         return Status::NumericalError;
     }
 }
-
-namespace detail {
-
-/// Iteration workspaces for one scalar type. The ladder allocates a second
-/// bundle in the shadow (float) type next to the native one; the plain path
-/// allocates exactly what qdwh_impl always allocated.
-template <typename T>
-struct QdwhWorkspace {
-    TiledMatrix<T> W;   ///< stacked [W1; W2], (m + n) x n
-    TiledMatrix<T> Q;   ///< stacked [Q1; Q2]
-    TiledMatrix<T> Tw;  ///< QR T factors of W
-    TiledMatrix<T> Z;   ///< Cholesky operand, n x n
-
-    QdwhWorkspace() = default;
-    QdwhWorkspace(std::vector<int> const& row_sizes,
-                  std::vector<int> const& col_sizes, Grid grid) {
-        std::vector<int> w_rows = row_sizes;
-        w_rows.insert(w_rows.end(), col_sizes.begin(), col_sizes.end());
-        W = TiledMatrix<T>(w_rows, col_sizes, grid);
-        Q = TiledMatrix<T>(w_rows, col_sizes, grid);
-        Tw = la::alloc_qr_t(W);
-        Z = TiledMatrix<T>(col_sizes, col_sizes, grid);
-    }
-    bool empty() const { return W.empty(); }
-};
-
-/// One QR-based iteration (Eq. 1, Algorithm 1 lines 30-36): reads cur,
-/// writes A_k into oth; ws provides the stacked W/Q/T scratch. The weights
-/// arrive in double (the planning precision) and are applied in R.
-template <typename Ex, typename T>
-void qdwh_qr_iter(Ex& eng, double a, double b, double c, TiledMatrix<T>& cur,
-                  TiledMatrix<T>& oth, QdwhWorkspace<T>& ws, int mt, int nt,
-                  bool structured, int lookahead) {
-    using R = real_t<T>;
-    TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
-    TiledMatrix<T> W2 = ws.W.sub(mt, 0, nt, nt);
-    TiledMatrix<T> Q1 = ws.Q.sub(0, 0, mt, nt);
-    TiledMatrix<T> Q2 = ws.Q.sub(mt, 0, nt, nt);
-    la::copy(eng, cur, W1);
-    la::scale(eng, from_real<T>(static_cast<R>(std::sqrt(c))), W1);
-    R const theta = static_cast<R>((a - b / c) / std::sqrt(c));
-    R const beta = static_cast<R>(b / c);
-    if (structured) {
-        la::geqrf_stacked_tri(eng, ws.W, mt, T(1), ws.Tw, lookahead);
-        la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
-        // Q2 = R^{-1} is block upper triangular; the out-of-place
-        // triangular gemm writes A_k while A_{k-1} survives in cur.
-        la::gemm_rt_upper(eng, from_real<T>(theta), Q1, Q2,
-                          from_real<T>(beta), cur, oth);
-    } else {
-        la::set_identity(eng, W2);
-        la::geqrf(eng, ws.W, ws.Tw, lookahead);
-        la::ungqr(eng, ws.W, ws.Tw, ws.Q);
-        la::copy(eng, cur, oth);
-        la::gemm(eng, Op::NoTrans, Op::ConjTrans, from_real<T>(theta), Q1, Q2,
-                 from_real<T>(beta), oth);
-    }
-}
-
-/// One Cholesky-based iteration (Eq. 2, lines 38-44): reads cur, writes
-/// A_k into oth. Throws tbp::Error (surfaced at a sync point) if the
-/// Cholesky operand is not numerically HPD — the ladder's fallback trigger.
-template <typename Ex, typename T>
-void qdwh_chol_iter(Ex& eng, double a, double b, double c,
-                    TiledMatrix<T>& cur, TiledMatrix<T>& oth,
-                    QdwhWorkspace<T>& ws, int lookahead) {
-    using R = real_t<T>;
-    la::copy(eng, cur, oth);
-    la::set_identity(eng, ws.Z);
-    la::herk(eng, Uplo::Lower, Op::ConjTrans, static_cast<R>(c), cur, R(1),
-             ws.Z);
-    la::potrf(eng, Uplo::Lower, ws.Z, lookahead);
-    la::trsm(eng, Side::Right, Uplo::Lower, Op::ConjTrans, Diag::NonUnit,
-             T(1), ws.Z, oth);
-    la::trsm(eng, Side::Right, Uplo::Lower, Op::NoTrans, Diag::NonUnit, T(1),
-             ws.Z, oth);
-    // A_k = (b/c) A_{k-1} + (a - b/c) A_{k-1} Z^{-1}
-    la::add(eng, from_real<T>(static_cast<R>(b / c)), cur,
-            from_real<T>(static_cast<R>(a - b / c)), oth);
-}
-
-/// H = U_p^H A0 (+ optional Hermitian symmetrization), Algorithm 1 line 52.
-template <typename Ex, typename T>
-void qdwh_h_stage(Ex& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
-                  TiledMatrix<T>& H, bool symmetrize) {
-    la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), U, Acpy, T(0), H);
-    if (symmetrize) {
-        TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(), H.grid());
-        la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-        la::add(eng, T(0.5), Ht, T(0.5), H);
-    }
-}
-
-/// Body of qdwh_status after validation; may throw tbp::Error from task
-/// synchronization points (caught and mapped by qdwh_status). `Ex` is
-/// rt::Engine (per-tile tasks) or dev::Executor (batched device path).
-template <typename Ex, typename T>
-Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
-                 QdwhOptions const& opts) {
-    using R = real_t<T>;
-    std::int64_t const n = A.n();
-    double const flops0 = eng.flops_executed();
-
-    R const eps = std::numeric_limits<R>::epsilon();
-    R const tol1 = R(5) * eps;                // |L - 1| tolerance
-    R const tol3 = std::cbrt(tol1);           // ||A_k - A_{k-1}||_F tolerance
-
-    int const mt = A.mt();
-    int const nt = A.nt();
-    auto const row_sizes = A.row_tile_sizes();
-    auto const col_sizes = A.col_tile_sizes();
-
-    eng.wait();  // quiesce pending caller tasks: clone() reads tiles directly
-    // Workspaces (Algorithm 1 lines 4-6). Aalt is the rotation partner of
-    // A: each iteration writes A_k into whichever of the two buffers holds
-    // A_{k-2}, so no per-iteration Aprev copy sweep is needed.
-    TiledMatrix<T> Acpy = A.clone();  // backup of the *unscaled* A, for H
-    TiledMatrix<T> Aalt(row_sizes, col_sizes, A.grid());
-    QdwhWorkspace<T> ws(row_sizes, col_sizes, A.grid());
-    TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
-
-    // --- Stage 1: two-norm estimate and scaling (lines 11-13) ------------
-    R const alpha = cond::norm2est(eng, A);
-    if (alpha == R(0)) {
-        info.flops = eng.flops_executed() - flops0;
-        return Status::ZeroMatrix;
-    }
-    info.norm2_estimate = static_cast<double>(alpha);
-    la::scale(eng, from_real<T>(R(1) / alpha), A);
-
-    // --- Stage 2: condition estimate (lines 14-19) -----------------------
-    // The m x n QR runs in the already-allocated W1/Tw iteration
-    // workspaces (the first QR iteration reinitializes them anyway)
-    // instead of cloning a fresh matrix + T factor per call.
-    R li;
-    if (opts.condest_override > 0) {
-        li = static_cast<R>(opts.condest_override);
-    } else {
-        R const anorm = la::norm(eng, Norm::One, A);
-        la::copy(eng, A, W1);
-        la::geqrf(eng, W1, ws.Tw.sub(0, 0, mt, nt), opts.lookahead);
-        eng.wait();
-        R const rcond = cond::trcondest(eng, W1);
-        li = anorm * rcond / std::sqrt(static_cast<R>(n));
-    }
-    // Clamp into a sane open interval: an exact 0 (singular estimate) still
-    // converges with the worst-case parameters; > 1 cannot happen for a
-    // correctly scaled iterate but guards estimator overshoot.
-    R const li_floor = std::numeric_limits<R>::min() * R(100);
-    li = std::min(std::max(li, li_floor), R(1));
-    info.condest_l0 = static_cast<double>(li);
-
-    // --- Stage 3: main iteration (lines 21-50) ----------------------------
-    // Per-precision measured-counter snapshot: every preceding charging op
-    // (norm2est's gemvs, the condest QR) has synchronized, and the ops
-    // still in flight (scale) charge nothing, so the deltas taken at the
-    // end cover exactly the iteration loop + H stage.
-    std::array<double, prec::kNumPrec> kf0{};
-    for (int p = 0; p < prec::kNumPrec; ++p)
-        kf0[static_cast<std::size_t>(p)] =
-            blas::kernel::flops_performed(static_cast<prec::Prec>(p));
-    R conv = R(100);
-    // Buffer rotation: `cur` holds A_{k-1}, the iteration writes A_k into
-    // `oth`, the convergence check reads both, then the roles swap.
-    TiledMatrix<T>* cur = &A;
-    TiledMatrix<T>* oth = &Aalt;
-
-    while ((conv >= tol3 || std::abs(li - R(1)) >= tol1)
-           && info.iterations < opts.max_iter) {
-        // Dynamic weights (lines 23-27).
-        R const l2 = li * li;
-        R const dd = std::cbrt(R(4) * (R(1) - l2) / (l2 * l2));
-        R const sqd = std::sqrt(R(1) + dd);
-        R const a1 = sqd
-                     + std::sqrt(R(8) - R(4) * dd
-                                 + R(8) * (R(2) - l2) / (l2 * sqd))
-                           / R(2);
-        R const a = a1;
-        R const b = (a - R(1)) * (a - R(1)) / R(4);
-        R const c = a + b - R(1);
-        li = li * (a + b * l2) / (R(1) + c * l2);
-        info.li_history.push_back(static_cast<double>(li));
-
-        if (c > R(100)) {
-            // QR-based iteration, Eq. (1) (lines 30-36).
-            qdwh_qr_iter(eng, static_cast<double>(a), static_cast<double>(b),
-                         static_cast<double>(c), *cur, *oth, ws, mt, nt,
-                         opts.structured_qr, opts.lookahead);
-            ++info.it_qr;
-        } else {
-            // Cholesky-based iteration, Eq. (2) (lines 38-44). The solves
-            // run on the rotation buffer so A_{k-1} stays intact in cur.
-            qdwh_chol_iter(eng, static_cast<double>(a),
-                           static_cast<double>(b), static_cast<double>(c),
-                           *cur, *oth, ws, opts.lookahead);
-            ++info.it_chol;
-        }
-        info.rungs.push_back(prec::native_prec<T>());
-
-        // conv = ||A_k - A_{k-1}||_F (lines 47-48): one fused read-only
-        // sweep over both buffers instead of add + destructive norm.
-        // Synchronizes.
-        conv = la::diff_norm_fro(eng, *oth, *cur);
-        std::swap(cur, oth);
-        ++info.iterations;
-    }
-    if (cur != &A)
-        la::copy(eng, *cur, A);
-    info.conv = static_cast<double>(conv);
-    if (info.iterations >= opts.max_iter
-        && (conv >= tol3 || std::abs(li - R(1)) >= tol1)) {
-        eng.wait();
-        info.flops = eng.flops_executed() - flops0;
-        return Status::NotConverged;
-    }
-    info.converged = true;
-
-    // --- Stage 4: H = U_p^H A (line 52) -----------------------------------
-    if (opts.compute_h)
-        qdwh_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
-    eng.wait();
-
-    for (int p = 0; p < prec::kNumPrec; ++p)
-        info.kernel_flops_by_prec[static_cast<std::size_t>(p)] =
-            blas::kernel::flops_performed(static_cast<prec::Prec>(p))
-            - kf0[static_cast<std::size_t>(p)];
-    info.flops = eng.flops_executed() - flops0;
-    return Status::Ok;
-}
-
-}  // namespace detail
-
-// The precision-ladder driver (detail::qdwh_ladder_impl) lives in its own
-// header but is an internal continuation of this one: it reuses the
-// iteration bodies above and is dispatched from qdwh_status.
-#include "core/qdwh_ladder.hh"  // IWYU pragma: keep
 
 /// Polar decomposition A = U_p H by QDWH. A (m x n, m >= n) is overwritten
 /// by U_p. If opts.compute_h, H must be n-by-n with A's column tile sizes.

@@ -13,26 +13,15 @@
 // Cost: the O(n^3) iterations in float + 2 gemm-bound cleanup steps in
 // double, vs 6 full double iterations for plain QDWH.
 //
-// Accuracy contract (the standard mixed-precision polar trade): the float
-// stage is backward stable *in float*, i.e. it computes the polar factor of
-// A + dA with ||dA|| ~ eps32 ||A||. Refinement that never touches A again
-// cannot undo that perturbation, so the result has
-//   - orthogonality            ~ eps64          (restored by Newton-Schulz),
-//   - backward error ||A-UH||  ~ eps32          (inherited from the float
-//                                                 backward perturbation),
-//   - forward error vs the double polar factor ~ eps32 * kappa(A)
-//     (the polar factor's own conditioning).
-// Use plain qdwh() when full double backward accuracy is required.
+// Accuracy contract (detail::low_precision_polar, core/polar_stages.hh):
+// orthogonality ~ eps64, backward error ||A - UH|| / ||A|| ~ eps32. A run
+// that needs a native backward error uses qdwh() with a Native (or Double)
+// precision request instead.
 
 #pragma once
 
-#include <cmath>
-#include <limits>
-
+#include "core/polar_stages.hh"
 #include "core/qdwh.hh"
-#include "core/refine.hh"
-#include "linalg/gemm.hh"
-#include "linalg/util.hh"
 
 namespace tbp {
 
@@ -43,63 +32,31 @@ struct QdwhMixedInfo {
     double orth_after = 0;    ///< ... after refinement
 };
 
-namespace detail {
-
-/// Element-wise precision conversion between conforming tiled matrices.
-/// Kept as a thin alias of la::convert_copy (the shared implementation the
-/// precision ladder also uses).
-template <typename TS, typename TD>
-void convert(rt::Engine& eng, TiledMatrix<TS> const& src, TiledMatrix<TD> dst) {
-    la::convert_copy(eng, src, dst);
-}
-
-}  // namespace detail
-
 /// Polar decomposition of a double-precision matrix with the iteration in
-/// float: A (m x n, m >= n) is overwritten by U_p to double accuracy;
-/// H (optional, n x n) as in qdwh().
+/// float: A (m x n, m >= n) is overwritten by U_p to double orthogonality;
+/// H (optional, n x n) as in qdwh(). Throws tbp::Error as qdwh() does.
 inline QdwhMixedInfo qdwh_mixed(rt::Engine& eng, TiledMatrix<double> A,
                                 TiledMatrix<double> H,
                                 QdwhOptions const& opts = {}) {
-    std::int64_t const n = A.n();
-    auto const rows = A.row_tile_sizes();
-    auto const cols = A.col_tile_sizes();
-
-    QdwhMixedInfo info;
-    TiledMatrix<double> Acpy = A.clone();
-
-    // 1. Full QDWH in single precision. opts (including structured_qr,
-    //    so the float stage shares the stacked-QR structure exploitation)
-    //    passes through except for the H computation, done in double below.
-    TiledMatrix<float> Af(rows, cols, A.grid());
-    detail::convert(eng, A, Af);
-    TiledMatrix<float> Hf;  // skipped
+    if (opts.compute_h)
+        tbp_require(H.m() == A.n() && H.n() == A.n());
+    // The float stage passes opts through (including structured_qr) except
+    // for H, formed in double from the original A, and the precision: it
+    // is already the low rung of this driver, so it never ladders again (a
+    // Bf16/Adaptive request belongs on qdwh() proper).
     QdwhOptions lo = opts;
     lo.compute_h = false;
-    // The float stage is already the low rung of this driver; never ladder
-    // it a second time (a Bf16/Adaptive request belongs on qdwh() proper).
     lo.precision = prec::PrecisionPolicy{};
-    info.low_precision = qdwh(eng, Af, Hf, lo);
-    detail::convert(eng, Af, A);  // A := float-accurate U_p
-
-    // 2. Newton-Schulz refinement in double until machine-precision
-    //    orthogonality (quadratic: ~2 steps from 1e-6).
-    RefineInfo const r = polar_refine_ns(eng, A, 5);
-    info.refine_steps = r.steps;
-    info.orth_before = r.orth_before;
-    info.orth_after = r.orth_after;
-
-    // 3. H = U^H A in double.
-    if (opts.compute_h) {
-        tbp_require(H.m() == n && H.n() == n);
-        la::gemm(eng, Op::ConjTrans, Op::NoTrans, 1.0, A, Acpy, 0.0, H);
-        if (opts.symmetrize_h) {
-            TiledMatrix<double> Ht(cols, cols, A.grid());
-            la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-            la::add(eng, 0.5, Ht, 0.5, H);
-        }
-    }
-    eng.wait();
+    QdwhMixedInfo info;
+    RefineInfo ref;
+    detail::low_precision_polar(eng, A, H, opts.compute_h, opts.symmetrize_h,
+                                ref, [&](TiledMatrix<float>& Af) {
+                                    info.low_precision = qdwh(eng, Af, {}, lo);
+                                    return Status::Ok;
+                                });
+    info.refine_steps = ref.steps;
+    info.orth_before = ref.orth_before;
+    info.orth_after = ref.orth_after;
     return info;
 }
 

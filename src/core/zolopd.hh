@@ -31,10 +31,8 @@
 #include "common/error.hh"
 #include "common/precision.hh"
 #include "common/types.hh"
-#include "cond/condest.hh"
-#include "cond/norm2est.hh"
+#include "core/polar_stages.hh"
 #include "core/precision_policy.hh"
-#include "core/refine.hh"
 #include "device/executor.hh"
 #include "linalg/gemm.hh"
 #include "linalg/geqrf.hh"
@@ -70,7 +68,9 @@ struct ZoloOptions {
     /// schedule to exploit: a low-precision request on a double-kind matrix
     /// runs the *entire* Zolotarev iteration in float (under simulated-bf16
     /// gemm mode for a Bf16 request) and restores double orthogonality with
-    /// a Newton-Schulz polish, computing H natively. Ignored (native) for
+    /// a Newton-Schulz polish, computing H natively — the
+    /// detail::low_precision_polar pipeline qdwh_mixed also runs, with its
+    /// accuracy contract (core/polar_stages.hh). Ignored (native) for
     /// float-kind scalars.
     prec::PrecisionPolicy precision;
 };
@@ -175,77 +175,12 @@ inline ZoloCoeffs zolo_coeffs(double l, int r) {
     return z;
 }
 
-template <typename Ex, typename T>
-Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
-                 ZoloOptions const& opts);
-
-template <typename T>
-Status zolo_ladder_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                        ZoloInfo& info, ZoloOptions const& opts);
-
-}  // namespace detail
-
-/// Status-returning Zolo-PD (same failure contract as qdwh_status):
-/// validates up front, reports ZeroMatrix / NotConverged / NumericalError
-/// instead of throwing. The batched service entry point.
-template <typename T>
-Status zolo_pd_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                      ZoloInfo& info, ZoloOptions const& opts = {}) {
-    info = ZoloInfo{};
-    if (A.empty() || A.m() < A.n())
-        return Status::InvalidArgument;
-    std::int64_t const n = A.n();
-    if (opts.compute_h && (H.empty() || H.m() != n || H.n() != n))
-        return Status::InvalidArgument;
-    if (opts.r < 1 || opts.max_iter < 1)
-        return Status::InvalidArgument;
-
-    if constexpr (std::is_same_v<T, double>
-                  || std::is_same_v<T, std::complex<double>>) {
-        if (prec::ladder_engaged(opts.precision.request,
-                                 prec::native_prec<T>())) {
-            try {
-                return detail::zolo_ladder_impl(eng, A, H, info, opts);
-            } catch (Error const&) {
-                try {
-                    eng.wait();
-                } catch (...) {
-                }
-                return Status::NumericalError;
-            }
-        }
-    }
-
-    try {
-        if (opts.target == dev::Target::BatchedHost) {
-            dev::ExecOptions eo;
-            eo.target = dev::Target::BatchedHost;
-            eo.max_batch = opts.max_batch;
-            eo.tile_bytes = static_cast<std::size_t>(A.tile_mb(0))
-                            * static_cast<std::size_t>(A.tile_nb(0))
-                            * sizeof(T);
-            dev::Executor ex(eng, eo);
-            return detail::zolo_impl(ex, A, H, info, opts);
-        }
-        return detail::zolo_impl(eng, A, H, info, opts);
-    } catch (Error const&) {
-        try {
-            eng.wait();
-        } catch (...) {
-        }
-        return Status::NumericalError;
-    }
-}
-
-namespace detail {
-
 /// Body of zolo_pd_status after validation; may throw tbp::Error from task
 /// synchronization points (caught and mapped by zolo_pd_status).
 template <typename Ex, typename T>
 Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
                  ZoloOptions const& opts) {
     using R = real_t<T>;
-    std::int64_t const n = A.n();
     info.terms = opts.r;
     double const flops0 = eng.flops_executed();
 
@@ -263,44 +198,26 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
     TiledMatrix<T> Aprev(row_sizes, col_sizes, A.grid());
     TiledMatrix<T> Acc(row_sizes, col_sizes, A.grid());
     TiledMatrix<T> Term(row_sizes, col_sizes, A.grid());
-    std::vector<int> w_rows = row_sizes;
-    w_rows.insert(w_rows.end(), col_sizes.begin(), col_sizes.end());
-    TiledMatrix<T> W(w_rows, col_sizes, A.grid());
-    TiledMatrix<T> Q(w_rows, col_sizes, A.grid());
-    TiledMatrix<T> Tw = la::alloc_qr_t(W);
-    TiledMatrix<T> Z(col_sizes, col_sizes, A.grid());
+    QdwhWorkspace<T> ws(row_sizes, col_sizes, A.grid());
 
     // Scale and estimate sigma_min as in QDWH.
-    R const alpha = cond::norm2est(eng, A);
-    if (alpha == R(0)) {
+    auto const est = scale_and_condest(eng, A, ws, opts.condest_override,
+                                       opts.lookahead);
+    if (est.alpha == R(0)) {
         info.flops = eng.flops_executed() - flops0;
         return Status::ZeroMatrix;
     }
-    info.norm2_estimate = static_cast<double>(alpha);
-    la::scale(eng, from_real<T>(R(1) / alpha), A);
+    info.norm2_estimate = static_cast<double>(est.alpha);
 
-    TiledMatrix<T> W1 = W.sub(0, 0, mt, nt);
-    TiledMatrix<T> W2 = W.sub(mt, 0, nt, nt);
-    TiledMatrix<T> Q1 = Q.sub(0, 0, mt, nt);
-    TiledMatrix<T> Q2 = Q.sub(mt, 0, nt, nt);
+    TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
+    TiledMatrix<T> W2 = ws.W.sub(mt, 0, nt, nt);
+    TiledMatrix<T> Q1 = ws.Q.sub(0, 0, mt, nt);
+    TiledMatrix<T> Q2 = ws.Q.sub(mt, 0, nt, nt);
 
-    // Condition estimate reusing the W1/Tw iteration workspaces (the first
-    // term evaluation reinitializes them), as in qdwh().
-    R li;
-    if (opts.condest_override > 0) {
-        li = static_cast<R>(opts.condest_override);
-    } else {
-        R const anorm = la::norm(eng, Norm::One, A);
-        la::copy(eng, A, W1);
-        la::geqrf(eng, W1, Tw.sub(0, 0, mt, nt), opts.lookahead);
-        eng.wait();
-        R const rcond = cond::trcondest(eng, W1);
-        li = anorm * rcond / std::sqrt(static_cast<R>(n));
-    }
     // Floor below double's kappa = 1e16 regime: the Zolotarev interval
     // must contain sigma_min(A0) or the bottom of the spectrum is
     // under-lifted and extra sweeps are needed.
-    li = std::min(std::max(li, R(1e-17)), R(0.999));
+    R li = std::min(std::max(est.l0, R(1e-17)), R(0.999));
     info.condest_l0 = static_cast<double>(li);
 
     R conv = R(100);
@@ -330,9 +247,10 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
                 la::copy(eng, Aprev, W1);
                 if (opts.structured_qr) {
                     la::geqrf_stacked_tri(
-                        eng, W, mt, from_real<T>(static_cast<R>(std::sqrt(c))),
-                        Tw, opts.lookahead);
-                    la::ungqr_stacked_tri(eng, W, mt, Tw, Q);
+                        eng, ws.W, mt,
+                        from_real<T>(static_cast<R>(std::sqrt(c))), ws.Tw,
+                        opts.lookahead);
+                    la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
                     // X (X^H X + c I)^{-1} = Q1 Q2^H / sqrt(c); Q2 =
                     // sqrt(c) R^{-1} is block upper triangular.
                     la::gemm_rt_upper(
@@ -342,8 +260,8 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
                     la::set_identity(eng, W2);
                     la::scale(eng, from_real<T>(static_cast<R>(std::sqrt(c))),
                               W2);
-                    la::geqrf(eng, W, Tw, opts.lookahead);
-                    la::ungqr(eng, W, Tw, Q);
+                    la::geqrf(eng, ws.W, ws.Tw, opts.lookahead);
+                    la::ungqr(eng, ws.W, ws.Tw, ws.Q);
                     la::gemm(eng, Op::NoTrans, Op::ConjTrans,
                              from_real<T>(static_cast<R>(aj / std::sqrt(c))),
                              Q1, Q2, T(1), Acc);
@@ -351,14 +269,15 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
                 ++info.qr_solves;
             } else {
                 // Cholesky evaluation: Z = c I + X^H X.
-                la::set(eng, T(0), from_real<T>(static_cast<R>(c)), Z);
-                la::herk(eng, Uplo::Lower, Op::ConjTrans, R(1), Aprev, R(1), Z);
-                la::potrf(eng, Uplo::Lower, Z, opts.lookahead);
+                la::set(eng, T(0), from_real<T>(static_cast<R>(c)), ws.Z);
+                la::herk(eng, Uplo::Lower, Op::ConjTrans, R(1), Aprev, R(1),
+                         ws.Z);
+                la::potrf(eng, Uplo::Lower, ws.Z, opts.lookahead);
                 la::copy(eng, Aprev, Term);
                 la::trsm(eng, Side::Right, Uplo::Lower, Op::ConjTrans,
-                         Diag::NonUnit, T(1), Z, Term);
+                         Diag::NonUnit, T(1), ws.Z, Term);
                 la::trsm(eng, Side::Right, Uplo::Lower, Op::NoTrans,
-                         Diag::NonUnit, T(1), Z, Term);
+                         Diag::NonUnit, T(1), ws.Z, Term);
                 la::add(eng, from_real<T>(static_cast<R>(aj)), Term, T(1), Acc);
                 ++info.chol_solves;
             }
@@ -382,70 +301,77 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
     }
     info.converged = true;
 
-    if (opts.compute_h) {
-        la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), A, Acpy, T(0), H);
-        if (opts.symmetrize_h) {
-            TiledMatrix<T> Ht(col_sizes, col_sizes, A.grid());
-            la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-            la::add(eng, T(0.5), Ht, T(0.5), H);
-        }
-    }
+    if (opts.compute_h)
+        polar_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
     eng.wait();
     info.flops = eng.flops_executed() - flops0;
     return Status::Ok;
 }
 
-/// Low-precision Zolo-PD for double-kind scalars: the whole Zolotarev
-/// iteration runs on the float shadow type (under simulated-bf16 gemm mode
-/// when requested), followed by a native Newton-Schulz orthogonality polish
-/// and a native H = U^H A. See ZoloOptions::precision for the rationale —
-/// Zolo-PD has no per-iteration schedule worth laddering.
-template <typename T>
-Status zolo_ladder_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                        ZoloInfo& info, ZoloOptions const& opts) {
-    using S = prec::shadow_t<T>;
-
-    eng.wait();  // clone() reads tiles directly
-    TiledMatrix<T> Acpy = A.clone();
-    TiledMatrix<S> As(A.row_tile_sizes(), A.col_tile_sizes(), A.grid());
-    la::convert_copy(eng, A, As);
-
-    TiledMatrix<S> Hs;  // skipped in the low stage
-    ZoloOptions lo = opts;
-    lo.compute_h = false;
-    lo.precision = prec::PrecisionPolicy{};  // the shadow run is the rung
-    Status s;
-    {
-        prec::ScopedGemmMode mode_scope(
-            opts.precision.request == prec::Precision::Bf16
-                ? (opts.precision.compensated ? prec::GemmMode::Bf16Comp
-                                              : prec::GemmMode::Bf16)
-                : prec::GemmMode::Native);
-        s = zolo_pd_status(eng, As, Hs, info, lo);
-    }
-    if (s != Status::Ok)
-        return s;
-    info.low_precision = true;
-    la::convert_copy(eng, As, A);
-
-    RefineInfo const r = polar_refine_ns(eng, A, 5);
-    info.refine_steps = r.steps;
-    info.orth_after = r.orth_after;
-
-    if (opts.compute_h) {
-        la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), A, Acpy, T(0), H);
-        if (opts.symmetrize_h) {
-            TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(),
-                              A.grid());
-            la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-            la::add(eng, T(0.5), Ht, T(0.5), H);
-        }
-    }
-    eng.wait();
-    return Status::Ok;
-}
-
 }  // namespace detail
+
+/// Status-returning Zolo-PD (same failure contract as qdwh_status):
+/// validates up front, reports ZeroMatrix / NotConverged / NumericalError
+/// instead of throwing. The batched service entry point.
+template <typename T>
+Status zolo_pd_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
+                      ZoloInfo& info, ZoloOptions const& opts = {}) {
+    info = ZoloInfo{};
+    if (A.empty() || A.m() < A.n())
+        return Status::InvalidArgument;
+    std::int64_t const n = A.n();
+    if (opts.compute_h && (H.empty() || H.m() != n || H.n() != n))
+        return Status::InvalidArgument;
+    if (opts.r < 1 || opts.max_iter < 1)
+        return Status::InvalidArgument;
+
+    try {
+        if constexpr (std::is_same_v<T, double>
+                      || std::is_same_v<T, std::complex<double>>) {
+            if (prec::ladder_engaged(opts.precision.request,
+                                     prec::native_prec<T>())) {
+                // The whole Zolotarev iteration runs in float (simulated
+                // bf16 gemms for a Bf16 request), polished natively.
+                ZoloOptions lo = opts;
+                lo.compute_h = false;
+                lo.precision = prec::PrecisionPolicy{};  // the shadow is the rung
+                prec::Prec const rung =
+                    opts.precision.request == prec::Precision::Bf16
+                        ? prec::Prec::Bf16
+                        : prec::Prec::Float;
+                RefineInfo ref;
+                Status const s = detail::low_precision_polar(
+                    eng, A, H, opts.compute_h, opts.symmetrize_h, ref,
+                    [&](auto& As) {
+                        prec::ScopedGemmMode mode_scope(
+                            prec::gemm_mode(rung, opts.precision));
+                        return zolo_pd_status(eng, As, {}, info, lo);
+                    });
+                info.low_precision = s == Status::Ok;
+                info.refine_steps = ref.steps;
+                info.orth_after = ref.orth_after;
+                return s;
+            }
+        }
+        if (opts.target == dev::Target::BatchedHost) {
+            dev::ExecOptions eo;
+            eo.target = dev::Target::BatchedHost;
+            eo.max_batch = opts.max_batch;
+            eo.tile_bytes = static_cast<std::size_t>(A.tile_mb(0))
+                            * static_cast<std::size_t>(A.tile_nb(0))
+                            * sizeof(T);
+            dev::Executor ex(eng, eo);
+            return detail::zolo_impl(ex, A, H, info, opts);
+        }
+        return detail::zolo_impl(eng, A, H, info, opts);
+    } catch (Error const&) {
+        try {
+            eng.wait();
+        } catch (...) {
+        }
+        return Status::NumericalError;
+    }
+}
 
 /// Polar decomposition A = U_p H by Zolo-PD. Same contract as qdwh():
 /// A (m x n, m >= n) is overwritten by U_p; H optional n x n. Throws

@@ -1,11 +1,12 @@
 // SPMD distributed tiled algorithms: SUMMA gemm, herk, Cholesky, the right
-// triangular solves, and the fully distributed Cholesky-variant QDWH —
+// triangular solves, and the distributed QDWH on a Cholesky-only input —
 // validated against dense references and the shared-memory solver across
 // several process grids.
 
 #include <gtest/gtest.h>
 
 #include "comm/dist_algs.hh"
+#include "comm/dist_qdwh.hh"
 #include "core/qdwh.hh"
 #include "gen/matgen.hh"
 #include "ref/dense.hh"
@@ -181,6 +182,9 @@ TEST(DistAlgs, DistributedQdwhMatchesSharedMemory) {
     o.condest_override = 1.0 / opt.cond;
     qdwh(eng, At, H, o);
     auto Uref = ref::to_dense(At);
+    // Already the first iteration takes the Cholesky branch (c <= 100), and
+    // l only grows from there: no QR iteration runs.
+    ASSERT_FALSE(prec::qdwh_weights(1.0 / opt.cond).qr);
 
     for (auto [p, q] : {std::pair{2, 2}, {3, 2}}) {
         Grid g{p, q};
@@ -190,7 +194,7 @@ TEST(DistAlgs, DistributedQdwhMatchesSharedMemory) {
         world.run([&](comm::Communicator& c) {
             comm::DistMatrix<T> A(c, n, n, nb, g);
             A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
-            auto inf = comm::dist_qdwh_chol(c, g, A, 1.0 / opt.cond);
+            auto inf = comm::dist_qdwh(c, g, A, 1.0 / opt.cond);
             auto D = gather(A, c);
             if (c.rank() == 0) {
                 U = D;

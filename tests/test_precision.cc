@@ -1,5 +1,5 @@
-// Adaptive precision-ladder QDWH (core/precision_policy.hh,
-// core/qdwh_ladder.hh, comm/dist_qdwh.hh, perf/prec_model.hh): accuracy of
+// Adaptive precision-ladder QDWH (core/precision_policy.hh, core/qdwh.hh,
+// comm/dist_qdwh.hh, perf/prec_model.hh): accuracy of
 // the adaptive schedule against the all-native run across types and
 // conditioning, fallback promotion, bitwise determinism, distributed /
 // single-rank schedule agreement with the exact byte-halving identity, and
@@ -7,8 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "comm/dist_qdwh.hh"
@@ -121,6 +124,116 @@ TYPED_TEST(Precision, AdaptiveMatchesNativeOrthogonalityAcrossCond) {
                   static_cast<std::size_t>(info.iterations));
         expect_prec_model_exact<T>(info, A.row_tile_sizes(),
                                    A.col_tile_sizes(), qo.structured_qr);
+    }
+}
+
+// One weight formula: every request of every scalar type runs the same
+// loop, whose l_k history is exactly the prec::qdwh_weights recurrence (in
+// double) started from the clamped condition estimate.
+TYPED_TEST(Precision, LiHistoryIsTheQdwhWeightsRecurrence) {
+    using T = TypeParam;
+    int const n = 32, nb = 16;
+    for (auto req : {prec::Precision::Native, prec::Precision::Adaptive}) {
+        rt::Engine eng(2);
+        gen::MatGenOptions opt;
+        opt.cond = test::ill_cond<T>();
+        opt.seed = 618;
+        auto A = gen::cond_matrix<T>(eng, n, n, nb, opt);
+        TiledMatrix<T> H(n, n, nb);
+        QdwhOptions qo;
+        qo.precision.request = req;
+        QdwhInfo info;
+        ASSERT_EQ(qdwh_status(eng, A, H, info, qo), Status::Ok)
+            << prec::precision_name(req);
+        ASSERT_EQ(info.li_history.size(),
+                  static_cast<std::size_t>(info.iterations));
+        double li = info.condest_l0;
+        for (std::size_t k = 0; k < info.li_history.size(); ++k) {
+            li = prec::qdwh_weights(li).li_next;
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(info.li_history[k]),
+                      std::bit_cast<std::uint64_t>(li))
+                << prec::precision_name(req) << " iter " << k;
+        }
+    }
+}
+
+// A non-finite iterate is a numerical failure on every request, never a
+// "converged" exit with NaN in U: the native rung has nowhere to promote to.
+// l0 = 1e-12 makes the first iteration a QR one, which has no pivot test;
+// with max_iter = 1 that iteration is the whole run, so only the iterate
+// check can tell a NaN iterate (NumericalError) from a slow one
+// (NotConverged). max_iter = 30 is the full run.
+TYPED_TEST(Precision, NonFiniteInputIsNumericalError) {
+    using T = TypeParam;
+    using R = real_t<T>;
+    int const n = 32, nb = 16;
+    for (R bad : {std::numeric_limits<R>::quiet_NaN(),
+                  std::numeric_limits<R>::infinity()}) {
+        for (auto req : {prec::Precision::Native, prec::Precision::Adaptive}) {
+            for (int max_iter : {1, 30}) {
+                rt::Engine eng(2);
+                gen::MatGenOptions opt;
+                opt.cond = 1e3;
+                opt.seed = 619;
+                auto A = gen::cond_matrix<T>(eng, n, n, nb, opt);
+                eng.wait();
+                A.tile(1, 0)(3, 5) = from_real<T>(bad);
+                TiledMatrix<T> H(n, n, nb);
+                QdwhOptions qo;
+                qo.condest_override = 1e-12;
+                qo.max_iter = max_iter;
+                qo.precision.request = req;
+                QdwhInfo info;
+                EXPECT_EQ(qdwh_status(eng, A, H, info, qo),
+                          Status::NumericalError)
+                    << bad << " " << prec::precision_name(req) << " max_iter "
+                    << max_iter;
+                EXPECT_FALSE(info.converged);
+            }
+        }
+    }
+}
+
+// The distributed driver has no fallback: the same input is a hard error
+// that every rank raises. A NaN already fails the norm estimate's
+// positivity check; an Inf passes it and reaches the per-iteration
+// non-finite check of the first (QR) iteration, whose convergence norm is
+// an allreduce, so all ranks see the same value. max_iter = 1 keeps a
+// missing check from reaching a Cholesky iteration, where a NaN pivot
+// throws on one rank only and the others would wait for it.
+TEST(PrecisionLadder, DistNonFiniteInputThrowsOnEveryRank) {
+    using T = double;
+    int const n = 24, nb = 4;
+    gen::MatGenOptions opt;
+    opt.cond = 1e3;
+    opt.seed = 620;
+    rt::Engine eng(2);
+    auto At = gen::cond_matrix<T>(eng, n, n, nb, opt);
+    auto Ad = ref::to_dense(At);
+    for (T bad : {std::numeric_limits<T>::quiet_NaN(),
+                  std::numeric_limits<T>::infinity()}) {
+        for (auto req : {prec::Precision::Native, prec::Precision::Adaptive}) {
+            prec::PrecisionPolicy pol;
+            pol.request = req;
+            Grid g{2, 2};
+            std::vector<int> threw(static_cast<std::size_t>(g.size()), 0);
+            comm::World world(g.size());
+            world.run([&](comm::Communicator& c) {
+                comm::DistMatrix<T> A(c, n, n, nb, g);
+                A.fill([&](std::int64_t i, std::int64_t j) {
+                    return i == 9 && j == 14 ? bad : Ad(i, j);
+                });
+                try {
+                    comm::dist_qdwh(c, g, A, 1e-12, 1, pol);
+                } catch (Error const&) {
+                    threw[static_cast<std::size_t>(c.rank())] = 1;
+                }
+            });
+            for (int r = 0; r < g.size(); ++r)
+                EXPECT_EQ(threw[static_cast<std::size_t>(r)], 1)
+                    << bad << " " << prec::precision_name(req) << " rank "
+                    << r;
+        }
     }
 }
 
@@ -247,10 +360,9 @@ TEST(PrecisionLadder, DistAdaptiveMatchesSingleRankAndHalvesBytes) {
         world.run([&](comm::Communicator& c) {
             comm::DistMatrix<T> A(c, n, n, nb, g);
             A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
-            auto inf = adaptive
-                           ? comm::dist_qdwh_adaptive(
-                                 c, comm::ProcGrid3d{p, q, 1}, A, l0, pol)
-                           : comm::dist_qdwh(c, g, A, l0);
+            auto inf = comm::dist_qdwh(c, g, A, l0, 30,
+                                       adaptive ? pol
+                                                : prec::PrecisionPolicy{});
             auto D = gather(A, c);
             if (c.rank() == 0) {
                 info = inf;

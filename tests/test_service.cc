@@ -1,8 +1,8 @@
 // Service-layer tests: batched jobs through PolarService checked bit-for-
 // bit against single-job oracle runs, failure containment (one bad job
 // never aborts a batch), QoS classes, spec validation, single-tile jobs,
-// and workspace-pool reuse. Runs under the "service" ctest label (and the
-// tsan-service preset).
+// and workspace-pool reuse. Runs under the "service" ctest label (also
+// under ThreadSanitizer: ctest --preset tsan -L service).
 
 #include <gtest/gtest.h>
 

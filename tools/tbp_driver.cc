@@ -138,7 +138,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "per-tile oracle.\n"
                  "  --lookahead D prioritizes trailing updates feeding the "
                  "next D panels.\n"
-                 "  --precision puts qdwh/zolo on the precision ladder: "
+                 "  --precision puts qdwh/zolo/dqdwh on the precision ladder: "
                  "'adaptive' picks\n"
                  "  simulated-bf16 / float / native per iteration from the "
                  "l_k recurrence\n"
@@ -343,6 +343,19 @@ Args parse(int argc, char** argv) {
     return a;
 }
 
+/// The executed rung schedule of a precision-ladder run, one line.
+void print_ladder(Args const& a, std::vector<prec::Prec> const& rungs,
+                  int fallbacks) {
+    std::string sched;
+    for (auto r : rungs) {
+        if (!sched.empty())
+            sched += ",";
+        sched += prec::prec_name(r);
+    }
+    std::printf("  precision ladder: %s   rungs %s   fallbacks %d\n",
+                prec::precision_name(a.precision), sched.c_str(), fallbacks);
+}
+
 prec::PrecisionPolicy make_policy(Args const& a) {
     prec::PrecisionPolicy pol;
     pol.request = a.precision;
@@ -461,15 +474,7 @@ int run_tiled(Args const& a) {
                 "%.2f Gflop/s\n",
                 iters, it_qr, it_chol, secs, flops / secs / 1e9);
     if (a.precision != prec::Precision::Native && !rungs.empty()) {
-        std::string sched;
-        for (auto r : rungs) {
-            if (!sched.empty())
-                sched += ",";
-            sched += prec::prec_name(r);
-        }
-        std::printf("  precision ladder: %s   rungs %s   fallbacks %d\n",
-                    prec::precision_name(a.precision), sched.c_str(),
-                    fallbacks);
+        print_ladder(a, rungs, fallbacks);
         std::printf("  kernel flops by rung: double %.3e  float %.3e  "
                     "bf16 %.3e\n",
                     prec_flops[static_cast<std::size_t>(prec::Prec::Double)],
@@ -602,11 +607,12 @@ int run_dist(Args const& a) {
 
     ref::Dense<T> U(a.m, a.n);
     comm::DistQdwhInfo info;
+    auto const pol = make_policy(a);
     Timer t_run;
     world.run([&](comm::Communicator& c) {
         comm::DistMatrix<T> A(c, a.m, a.n, a.nb, g);
         A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
-        auto inf = comm::dist_qdwh(c, g3, A, 1.0 / a.cond);
+        auto inf = comm::dist_qdwh(c, g3, A, 1.0 / a.cond, 30, pol);
         auto dense = comm::dist_gather(c, A);
         if (c.rank() == 0) {
             info = inf;
@@ -646,6 +652,8 @@ int run_dist(Args const& a) {
                 static_cast<unsigned long long>(plan.vol.reduce_bytes));
     std::printf("  iterations %d   ||A||_2 est %.3e   time %.3fs\n",
                 info.iterations, info.norm2_estimate, secs);
+    if (a.precision != prec::Precision::Native)
+        print_ladder(a, info.rungs, 0);  // no fallback in the dist driver
     std::printf("  ||I-U'U||/sqrt(n) = %.3e   ||A-UH||/||A|| = %.3e\n", orth,
                 bwd);
     auto rep = perf::comm_report(world);
