@@ -50,8 +50,8 @@ struct Measured {
 };
 
 /// One distributed gemm (m x k times k x n doubles, tile nb) on the p*q*c
-/// world; c == 1 runs the 2D dist_gemm path, c > 1 the 2.5D summa_25d. The
-/// world does nothing else, so the report is the gemm's traffic alone.
+/// world through dist_gemm (c == 1 is the plain 2D SUMMA). The world does
+/// nothing else, so the report is the gemm's traffic alone.
 Measured run_gemm(Shape s, std::int64_t m, std::int64_t n, std::int64_t k,
                   int nb, bool deterministic) {
     comm::coll::Config cfg;
@@ -71,10 +71,7 @@ Measured run_gemm(Shape s, std::int64_t m, std::int64_t n, std::int64_t k,
         A.fill(f);
         B.fill(f);
         C.fill(f);
-        if (s.c == 1)
-            comm::dist_gemm(c, g, 1.5, A, B, 0.5, C);
-        else
-            comm::dist_gemm_25d(c, g3, 1.5, A, B, 0.5, C);
+        comm::dist_gemm(c, g3, 1.5, A, B, 0.5, C);
     });
     Measured mres;
     mres.seconds = t.elapsed();

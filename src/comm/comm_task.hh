@@ -58,101 +58,16 @@ void task_recv_tile(rt::Engine& eng, Communicator& c, detail::Staged<T>& dst,
 }
 
 /// SUMMA gemm (C := alpha A B + beta C, NoTrans, conforming block-cyclic
-/// distributions) with communication and computation both running as tasks
-/// on this rank's engine. Submission order per the header discipline:
-/// C scales, then every panel send of every step, then the receives, then
-/// the gemms; the dataflow (RAW on staged buffers, RW chains on C tiles)
-/// reproduces dist_gemm's accumulation order bit-for-bit while the engine
-/// overlaps receives with ready gemms. Staged panels for all kt steps are
-/// alive at once: O(kt * (mt + nt)) tiles of workspace — the price of a
-/// full-DAG epoch.
-template <typename T>
-void dist_gemm_tasks(Communicator& c, rt::Engine& eng, Grid g, T alpha,
-                     DistMatrix<T>& A, DistMatrix<T>& B, T beta,
-                     DistMatrix<T>& C) {
-    int const mt = C.mt(), nt = C.nt(), kt = A.nt();
-    tbp_require(A.mt() == mt && B.mt() == kt && B.nt() == nt);
-
-    for (int j = 0; j < nt; ++j)
-        for (int i = 0; i < mt; ++i)
-            if (C.is_local(i, j)) {
-                auto t = C.tile(i, j);
-                eng.submit("scale_c", {rt::readwrite(t.data())},
-                           [t, beta] { blas::scale(beta, t); });
-            }
-
-    // Distinct tag namespace from the SPMD kernels so an engine epoch can
-    // coexist with them in one World::run.
-    int const tag0 = 1 << 27;
-    auto tag_a = [&](int l, int i) { return tag0 + l * (mt + nt) + i; };
-    auto tag_b = [&](int l, int j) { return tag0 + l * (mt + nt) + mt + j; };
-
-    // Phase 1: every send of every step (priority 1).
-    for (int l = 0; l < kt; ++l) {
-        for (int i = 0; i < mt; ++i)
-            if (A.owner(i, l) == c.rank())
-                for (int r : row_group(g, i))
-                    if (r != c.rank())
-                        task_send_tile(eng, c, A.tile(i, l), r, tag_a(l, i));
-        for (int j = 0; j < nt; ++j)
-            if (B.owner(l, j) == c.rank())
-                for (int r : col_group(g, j))
-                    if (r != c.rank())
-                        task_send_tile(eng, c, B.tile(l, j), r, tag_b(l, j));
-    }
-
-    // Phase 2: receives into per-step staged panels (kept alive past
-    // wait() by this scope).
-    std::vector<std::map<int, detail::Staged<T>>> a_stage(
-        static_cast<size_t>(kt)),
-        b_stage(static_cast<size_t>(kt));
-    for (int l = 0; l < kt; ++l) {
-        for (int i = 0; i < mt; ++i)
-            if (in_group(row_group(g, i), c.rank())
-                && A.owner(i, l) != c.rank())
-                task_recv_tile(eng, c, a_stage[static_cast<size_t>(l)][i],
-                               A.tile_mb(i), A.tile_nb(l), A.owner(i, l),
-                               tag_a(l, i));
-        for (int j = 0; j < nt; ++j)
-            if (in_group(col_group(g, j), c.rank())
-                && B.owner(l, j) != c.rank())
-                task_recv_tile(eng, c, b_stage[static_cast<size_t>(l)][j],
-                               B.tile_mb(l), B.tile_nb(j), B.owner(l, j),
-                               tag_b(l, j));
-    }
-
-    // Phase 3: gemms, reading local tiles or staged buffers.
-    for (int l = 0; l < kt; ++l) {
-        for (int j = 0; j < nt; ++j) {
-            for (int i = 0; i < mt; ++i) {
-                if (!C.is_local(i, j))
-                    continue;
-                Tile<T> ta = A.owner(i, l) == c.rank()
-                                 ? A.tile(i, l)
-                                 : a_stage[static_cast<size_t>(l)][i].tile();
-                Tile<T> tb = B.owner(l, j) == c.rank()
-                                 ? B.tile(l, j)
-                                 : b_stage[static_cast<size_t>(l)][j].tile();
-                auto tc = C.tile(i, j);
-                eng.submit("gemm", 2.0 * tc.mb() * tc.nb() * ta.nb(),
-                           {rt::read(ta.data()), rt::read(tb.data()),
-                            rt::readwrite(tc.data())},
-                           [ta, tb, tc, alpha] {
-                               la::summa_step_accumulate(Op::NoTrans,
-                                                         Op::NoTrans, alpha,
-                                                         ta, tb, tc);
-                           });
-            }
-        }
-    }
-    eng.wait();
-}
-
-/// 2.5D SUMMA gemm as engine tasks: the task-DAG counterpart of
-/// dist_gemm_25d, bit-identical to it in both reduction modes (every path
-/// accumulates through la::summa_step_accumulate and the C-tile RW chains
-/// reproduce its fold order). The sends-before-recvs discipline generalizes
-/// to the replication fiber with one new task kind:
+/// distributions on g3's layer grid) with communication and computation
+/// both running as tasks on this rank's engine: the task-DAG counterpart of
+/// the SPMD dist_gemm, bit-identical to it at every c and in both reduction
+/// modes (every path accumulates through la::summa_step_accumulate and the
+/// C-tile RW chains reproduce its fold order, while the engine overlaps
+/// receives with ready gemms). The plain 2D SUMMA is g3 = {p, q, 1}. Staged
+/// panels for all of a layer's steps are alive at once: O(kt * (mt + nt))
+/// tiles of workspace — the price of a full-DAG epoch. The sends-before-
+/// recvs discipline of the header extends to the replication fiber with one
+/// new task kind:
 ///
 ///   - Phase 1 (priority 1): every send that depends only on owned tiles —
 ///     layer-0 fiber sends for all remote steps plus layer-0's own-step
@@ -169,10 +84,9 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, Grid g, T alpha,
 ///     per C tile reads the layer partial, ordered after its accumulates by
 ///     the dataflow.
 template <typename T>
-void dist_gemm_tasks_25d(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
-                         T alpha, DistMatrix<T>& A, DistMatrix<T>& B, T beta,
-                         DistMatrix<T>& C,
-                         int tag_base = (1 << 27) + (1 << 26)) {
+void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
+                     T alpha, DistMatrix<T>& A, DistMatrix<T>& B, T beta,
+                     DistMatrix<T>& C, int tag_base = 1 << 27) {
     Grid const g = g3.layer();
     int const mt = C.mt(), nt = C.nt(), kt = A.nt();
     tbp_require(c.size() == g3.size());
@@ -185,16 +99,17 @@ void dist_gemm_tasks_25d(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
     int const my_lo = g3.step_lo(my_layer, kt);
     int const my_hi = g3.step_hi(my_layer, kt);
 
-    // Same tag layout as summa_25d (fiber, stage, reduce spans), offset into
-    // the engine-task namespace.
+    // Same tag layout as summa_25d (stage, fiber, reduce spans), offset into
+    // the engine-task namespace so an engine epoch can coexist with the SPMD
+    // kernels in one World::run.
     int const span = mt + nt;
-    auto fiber_a_tag = [&](int l, int i) { return tag_base + l * span + i; };
-    auto fiber_b_tag = [&](int l, int j) {
+    auto stage_a_tag = [&](int l, int i) { return tag_base + l * span + i; };
+    auto stage_b_tag = [&](int l, int j) {
         return tag_base + l * span + mt + j;
     };
-    int const stage0 = tag_base + kt * span;
-    auto stage_a_tag = [&](int l, int i) { return stage0 + l * span + i; };
-    auto stage_b_tag = [&](int l, int j) { return stage0 + l * span + mt + j; };
+    int const fiber0 = tag_base + kt * span;
+    auto fiber_a_tag = [&](int l, int i) { return fiber0 + l * span + i; };
+    auto fiber_b_tag = [&](int l, int j) { return fiber0 + l * span + mt + j; };
     int const red0 = tag_base + 2 * kt * span;
     auto reduce_tag = [&](int s, int i, int j) {
         return red0 + s * (mt * nt) + i + j * mt;

@@ -1,9 +1,10 @@
 // SPMD distributed tiled algorithms over virtual ranks.
 //
 // These run the classic 2D block-cyclic communication patterns with real
-// (in-process) messages: SUMMA-style gemm with row/column tile broadcasts,
-// right-looking distributed Cholesky with panel broadcasts, Hermitian
-// rank-k update, and the right-side triangular solves QDWH's
+// (in-process) messages: the row/column tile broadcasts and the
+// double-buffered step pipeline the SUMMA gemm (comm/dist_summa25.hh) is
+// built from, right-looking distributed Cholesky with panel broadcasts,
+// Hermitian rank-k update, and the right-side triangular solves QDWH's
 // Cholesky iteration needs (comm/dist_qdwh.hh composes them, with the
 // distributed QR of comm/dist_qr.hh, into the distributed polar
 // decomposition). They validate that the distribution logic (who owns what,
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "blas/factor.hh"
@@ -204,71 +206,34 @@ detail::PendingStage<T> stage_tile_begin(Communicator& c, DistMatrix<T>& A,
     return p;
 }
 
-/// SUMMA: C := alpha A B + beta C (all NoTrans), conforming block-cyclic
-/// distributions on the same grid.
-template <typename T>
-void dist_gemm(Communicator& c, Grid g, T alpha, DistMatrix<T>& A,
-               DistMatrix<T>& B, T beta, DistMatrix<T>& C) {
-    int const mt = C.mt(), nt = C.nt(), kt = A.nt();
-    tbp_require(A.mt() == mt && B.mt() == kt && B.nt() == nt);
+namespace detail {
 
-    // Scale local C tiles once.
-    for (int j = 0; j < nt; ++j)
-        for (int i = 0; i < mt; ++i)
-            if (C.is_local(i, j))
-                blas::scale(beta, C.tile(i, j));
-
-    // Stage the A column panel along process rows and the B row panel along
-    // process columns. Tags are closed-form per step so step l+1's panels
-    // can be posted while step l computes (double-buffered pipeline); the
-    // legacy oracle waits for each panel before touching the next step.
-    struct Step {
-        std::map<int, detail::PendingStage<T>> a, b;
-    };
-    auto stage_step = [&](int l) {
-        int const base = (1 << 20) + l * (mt + nt);
-        Step st;
-        for (int i = 0; i < mt; ++i) {
-            auto grp = row_group(g, i);
-            bool const need = in_group(grp, c.rank());
-            if (need || A.owner(i, l) == c.rank()) {
-                auto p = stage_tile_begin(c, A, i, l, grp, base + i);
-                if (need)
-                    st.a[i] = std::move(p);
-            }
-        }
-        for (int j = 0; j < nt; ++j) {
-            auto grp = col_group(g, j);
-            bool const need = in_group(grp, c.rank());
-            if (need || B.owner(l, j) == c.rank()) {
-                auto p = stage_tile_begin(c, B, l, j, grp, base + mt + j);
-                if (need)
-                    st.b[j] = std::move(p);
-            }
-        }
-        return st;
-    };
-
+/// Double-buffered step pipeline shared by every staged step loop:
+/// stage(l) posts step l's panels (stage_tile_begin) and returns them,
+/// compute(l, staged) consumes them. Step l+1 is posted before step l
+/// computes, so its broadcasts overlap step l's kernels; the staged operands
+/// must therefore be read-only across the loop. Under coll::Config::legacy
+/// each step is staged on demand, after the previous step computed.
+template <typename Stage, typename Compute>
+void pipelined_steps(Communicator& c, int n, Stage&& stage,
+                     Compute&& compute) {
+    using Step = decltype(stage(0));
     bool const pipelined = !c.coll_config().legacy;
     Step cur;
-    if (kt > 0)
-        cur = stage_step(0);
-    for (int l = 0; l < kt; ++l) {
+    if (n > 0)
+        cur = stage(0);
+    for (int l = 0; l < n; ++l) {
         Step next;
-        if (pipelined && l + 1 < kt)
-            next = stage_step(l + 1);  // overlap with this step's gemms
-        for (int j = 0; j < nt; ++j)
-            for (int i = 0; i < mt; ++i)
-                if (C.is_local(i, j))
-                    la::summa_step_accumulate(Op::NoTrans, Op::NoTrans, alpha,
-                                              cur.a[i].ready().tile(),
-                                              cur.b[j].ready().tile(),
-                                              C.tile(i, j));
-        if (!pipelined && l + 1 < kt)
-            next = stage_step(l + 1);
+        if (pipelined && l + 1 < n)
+            next = stage(l + 1);
+        compute(l, cur);
+        if (!pipelined && l + 1 < n)
+            next = stage(l + 1);
         cur = std::move(next);
     }
 }
+
+}  // namespace detail
 
 /// Distributed Hermitian rank-k update, lower triangle:
 ///   C := alpha A^H A + beta C, A kt x nt tiles, C nt x nt.
@@ -314,14 +279,7 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
         return st;
     };
 
-    bool const pipelined = !c.coll_config().legacy;
-    Step cur;
-    if (kt > 0)
-        cur = stage_step(0);
-    for (int l = 0; l < kt; ++l) {
-        Step next;
-        if (pipelined && l + 1 < kt)
-            next = stage_step(l + 1);
+    detail::pipelined_steps(c, kt, stage_step, [&](int, Step& cur) {
         for (int j = 0; j < nt; ++j) {
             for (int i = j; i < nt; ++i) {
                 if (!C.is_local(i, j))
@@ -336,10 +294,7 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
                                cur.col[j].ready().tile(), T(1), C.tile(i, j));
             }
         }
-        if (!pipelined && l + 1 < kt)
-            next = stage_step(l + 1);
-        cur = std::move(next);
-    }
+    });
 }
 
 /// Distributed right-looking Cholesky, lower triangle: A = L L^H in place.

@@ -95,70 +95,13 @@ void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
         dist_ungqr(c, g, w.W, w.Tm, w.Q);
 
         // A := theta Q1 Q2^H + beta A (SUMMA over the shared column
-        // index l; Q1 = top mt block rows of Q, Q2 = the rest).
+        // index l; Q1 = top mt block rows of Q, Q2 = the rest), over the
+        // replication layers when g3.c > 1.
         R const theta = (a - b / cc) / sq;
         R const beta = b / cc;
-        if (g3.c > 1) {
-            // Replicated-layer trailing update; folds through
-            // la::summa_step_accumulate like the 2D loop below, so
-            // deterministic mode stays bit-identical to it.
-            summa_25d(c, g3, Op::ConjTrans, from_real<T>(theta), w.Q, w.Q, mt,
-                      from_real<T>(beta), A, tag_base);
-            tag_base += summa25_tag_span(mt, nt, nt);
-        } else {
-            for (int j = 0; j < nt; ++j)
-                for (int i = 0; i < mt; ++i)
-                    if (A.is_local(i, j))
-                        blas::scale(from_real<T>(beta), A.tile(i, j));
-            // Q is read-only during this SUMMA, so step l+1's panel
-            // broadcasts overlap step l's gemms (same double-buffered
-            // pipeline as dist_gemm; the legacy oracle stays blocking).
-            struct Step {
-                std::map<int, detail::PendingStage<T>> q1, q2;
-            };
-            auto stage_step = [&](int l) {
-                int const base = tag_base + l * (mt + nt);
-                Step st;
-                for (int i = 0; i < mt; ++i) {
-                    auto grp = row_group(g, i);
-                    bool const need = in_group(grp, c.rank());
-                    if (need || w.Q.owner(i, l) == c.rank()) {
-                        auto p = stage_tile_begin(c, w.Q, i, l, grp, base + i);
-                        if (need)
-                            st.q1[i] = std::move(p);
-                    }
-                }
-                for (int j = 0; j < nt; ++j) {
-                    auto grp = col_group(g, j);
-                    bool const need = in_group(grp, c.rank());
-                    if (need || w.Q.owner(mt + j, l) == c.rank()) {
-                        auto p = stage_tile_begin(c, w.Q, mt + j, l, grp,
-                                                  base + mt + j);
-                        if (need)
-                            st.q2[j] = std::move(p);
-                    }
-                }
-                return st;
-            };
-            bool const pipelined = !c.coll_config().legacy;
-            Step cur = stage_step(0);
-            for (int l = 0; l < nt; ++l) {
-                Step next;
-                if (pipelined && l + 1 < nt)
-                    next = stage_step(l + 1);
-                for (int j = 0; j < nt; ++j)
-                    for (int i = 0; i < mt; ++i)
-                        if (A.is_local(i, j))
-                            la::summa_step_accumulate(
-                                Op::NoTrans, Op::ConjTrans,
-                                from_real<T>(theta), cur.q1[i].ready().tile(),
-                                cur.q2[j].ready().tile(), A.tile(i, j));
-                if (!pipelined && l + 1 < nt)
-                    next = stage_step(l + 1);
-                cur = std::move(next);
-            }
-            tag_base += summa25_tag_span(mt, nt, nt);
-        }
+        summa_25d(c, g3, Op::ConjTrans, from_real<T>(theta), w.Q, w.Q, mt,
+                  from_real<T>(beta), A, tag_base);
+        tag_base += summa25_tag_span(mt, nt, nt);
     } else {
         // --- Cholesky-based iteration (Eq. 2) -------------------------------
         dist_set_identity(w.Z);

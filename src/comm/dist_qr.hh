@@ -189,7 +189,8 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
     // V/T broadcast legally overlaps entry e's reflector applications.
     // The legacy oracle stages each entry on demand instead.
     using VT = std::pair<detail::PendingStage<T>, detail::PendingStage<T>>;
-    auto stage_entry = [&](Entry const& en) {
+    auto stage_entry = [&](int e) {
+        Entry const& en = sched[static_cast<std::size_t>(e)];
         std::vector<int> grp = row_group(g, en.k);
         if (en.i != en.k) {
             auto gi = row_group(g, en.i);
@@ -212,47 +213,39 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
         return vt;
     };
 
-    bool const pipelined = !c.coll_config().legacy;
-    VT cur;
-    if (!sched.empty())
-        cur = stage_entry(sched[0]);
-    for (std::size_t e = 0; e < sched.size(); ++e) {
-        VT next;
-        if (pipelined && e + 1 < sched.size())
-            next = stage_entry(sched[e + 1]);
-        Entry const& en = sched[e];
-        int const nbk = A.tile_nb(en.k);
-        if (en.i != en.k) {
-            int btag = en.borrow_tag;
-            for (int j = en.k; j < Q.nt(); ++j) {
-                int const runner = Q.owner(en.i, j);
-                bool const involved =
-                    c.rank() == runner || c.rank() == Q.owner(en.k, j);
-                if (involved) {
-                    detail::borrow_tile(
-                        c, Q, en.k, j, runner, btag, [&](Tile<T> c1) {
-                            auto tt =
-                                cur.second.ready().tile().sub(0, 0, nbk, nbk);
-                            blas::tsmqr(Op::NoTrans, cur.first.ready().tile(),
-                                        tt, c1, Q.tile(en.i, j));
-                        });
+    detail::pipelined_steps(
+        c, static_cast<int>(sched.size()), stage_entry, [&](int e, VT& cur) {
+            Entry const& en = sched[static_cast<std::size_t>(e)];
+            int const nbk = A.tile_nb(en.k);
+            if (en.i != en.k) {
+                int btag = en.borrow_tag;
+                for (int j = en.k; j < Q.nt(); ++j) {
+                    int const runner = Q.owner(en.i, j);
+                    bool const involved =
+                        c.rank() == runner || c.rank() == Q.owner(en.k, j);
+                    if (involved) {
+                        detail::borrow_tile(
+                            c, Q, en.k, j, runner, btag, [&](Tile<T> c1) {
+                                auto tt = cur.second.ready().tile().sub(
+                                    0, 0, nbk, nbk);
+                                blas::tsmqr(Op::NoTrans,
+                                            cur.first.ready().tile(), tt, c1,
+                                            Q.tile(en.i, j));
+                            });
+                    }
+                    btag += 2;
                 }
-                btag += 2;
-            }
-        } else {
-            for (int j = en.k; j < Q.nt(); ++j) {
-                if (Q.is_local(en.k, j)) {
-                    int const kk = std::min(cur.first.ready().mb, nbk);
-                    auto tt = cur.second.ready().tile().sub(0, 0, kk, kk);
-                    blas::unmqr(Op::NoTrans, cur.first.ready().tile(), tt,
-                                Q.tile(en.k, j));
+            } else {
+                for (int j = en.k; j < Q.nt(); ++j) {
+                    if (Q.is_local(en.k, j)) {
+                        int const kk = std::min(cur.first.ready().mb, nbk);
+                        auto tt = cur.second.ready().tile().sub(0, 0, kk, kk);
+                        blas::unmqr(Op::NoTrans, cur.first.ready().tile(), tt,
+                                    Q.tile(en.k, j));
+                    }
                 }
             }
-        }
-        if (!pipelined && e + 1 < sched.size())
-            next = stage_entry(sched[e + 1]);
-        cur = std::move(next);
-    }
+        });
 }
 
 }  // namespace tbp::comm

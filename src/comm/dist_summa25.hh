@@ -1,17 +1,23 @@
-// Communication-avoiding 2.5D SUMMA over a p x q x c process grid.
+// SUMMA over a p x q x c process grid: the one SPMD distributed gemm. The
+// classic 2D SUMMA is its c = 1 case (ProcGrid3d{p, q, 1}); c > 1 is the
+// communication-avoiding 2.5D variant.
 //
 // The matrices live block-cyclically on the p x q layer-0 grid (the
 // ProcGrid3d layer grid); layers 1..c-1 hold transient replicas. The kt
 // interior steps of the SUMMA k-loop are assigned to layers in contiguous
 // balanced blocks (ProcGrid3d::step_lo/step_hi — a cyclic map would
 // correlate step-owner columns with layers and concentrate the staging
-// bottleneck). For a remote step, the layer-0 owner of each operand tile first
-// ships it up the replication fiber to its layer mate (one hop), and that
-// mate then stages it across its own layer's row/column group exactly like
-// the 2D oracle does on layer 0 — so the per-rank staging volume drops by
-// ~c while the fiber adds only one copy of each operand panel, the classic
-// ~sqrt(c) per-rank traffic reduction once C contributions are reduced as
-// per-layer partial sums.
+// bottleneck). Layer 0 runs its own block [0, step_hi(0, kt)) — every step
+// when c == 1 — as the double-buffered 2D loop: each step broadcasts the A
+// column panel along process rows and the op(B) panel along process columns,
+// and step l+1's panels are posted while step l computes
+// (detail::pipelined_steps). For a remote step, the layer-0 owner of each
+// operand tile first ships it up the replication fiber to its layer mate
+// (one hop), and that mate then stages it across its own layer's row/column
+// group the same way — so the per-rank staging volume drops by ~c while the
+// fiber adds only one copy of each operand panel, the classic ~sqrt(c)
+// per-rank traffic reduction once C contributions are reduced as per-layer
+// partial sums.
 //
 // Two reduction modes, switched on coll::Config::deterministic (mirroring
 // the Ring-allreduce precedent: the deterministic default never trades
@@ -22,7 +28,7 @@
 //     steps in globally ascending l order. Because every distributed SUMMA
 //     path accumulates through la::summa_step_accumulate (product into a
 //     zeroed tile, then one elementwise add), the result is bit-identical
-//     to the 2D oracle on the same layer grid — at the cost of shipping
+//     to the c = 1 run on the same layer grid — at the cost of shipping
 //     one z tile per remote step, so this mode proves correctness rather
 //     than saving traffic.
 //
@@ -36,7 +42,7 @@
 // Deadlock discipline: all sends are buffered; layer-0 fiber sends for
 // every remote step are issued before any rank blocks in a receive, so
 // remote layers progress independently of layer 0's step loop, and the
-// within-layer staging follows the 2D oracle's owner-sends-first pattern.
+// within-layer staging follows the owner-sends-first pattern.
 // perf::summa_volume replays these loops exactly (model == measured).
 
 #pragma once
@@ -51,13 +57,13 @@
 
 namespace tbp::comm {
 
-/// Tags consumed by one summa_25d call starting at tag_base: a fiber and a
-/// stage tag per (step, operand tile) plus a reduce tag per (step, C tile).
+/// Tags consumed by one summa_25d call starting at tag_base: a stage and a
+/// fiber tag per (step, operand tile) plus a reduce tag per (step, C tile).
 inline int summa25_tag_span(int mt, int nt, int kt) {
     return kt * (2 * (mt + nt) + mt * nt);
 }
 
-/// 2.5D SUMMA: C := alpha MA(:,0:kt) op(B) + beta C on the g3 layer grid,
+/// SUMMA: C := alpha MA(:,0:kt) op(B) + beta C on the g3 layer grid,
 /// with op(B) tiles taken as MB(l, j) (NoTrans) or MB(b_row_off + j, l)^H
 /// (ConjTrans — the dqdwh trailing-update shape, where MA == MB == Q).
 /// Collective over all g3.size() ranks; matrices are distributed on
@@ -86,14 +92,16 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
                                   : std::pair<int, int>(b_row_off + j, l);
     };
 
+    // Stage tags first, so at c == 1 the tag stream is the plain 2D SUMMA's
+    // (tag_base + l * (mt + nt) + tile); fiber tags follow.
     int const span = mt + nt;
-    auto fiber_a_tag = [&](int l, int i) { return tag_base + l * span + i; };
-    auto fiber_b_tag = [&](int l, int j) {
+    auto stage_a_tag = [&](int l, int i) { return tag_base + l * span + i; };
+    auto stage_b_tag = [&](int l, int j) {
         return tag_base + l * span + mt + j;
     };
-    int const stage0 = tag_base + kt * span;
-    auto stage_a_tag = [&](int l, int i) { return stage0 + l * span + i; };
-    auto stage_b_tag = [&](int l, int j) { return stage0 + l * span + mt + j; };
+    int const fiber0 = tag_base + kt * span;
+    auto fiber_a_tag = [&](int l, int i) { return fiber0 + l * span + i; };
+    auto fiber_b_tag = [&](int l, int j) { return fiber0 + l * span + mt + j; };
     int const red0 = tag_base + 2 * kt * span;
     // s is the step (ExactOrder) or the sending layer's block-start step
     // (PartialSum) — block starts are distinct per populated layer and
@@ -231,41 +239,51 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
     }
 
     if (my_layer == 0) {
-        for (int l = 0; l < kt; ++l) {
-            int const lay = g3.layer_of_step(l, kt);
-            if (lay == 0) {
-                // Own step: the 2D oracle's staging + local fold.
-                std::map<int, detail::Staged<T>> a_st, b_st;
-                for (int i = 0; i < mt; ++i) {
-                    auto ac = a_coord(i, l);
-                    auto grp = row_group(g, i);
-                    bool const need = in_group(grp, my);
-                    if (need || MA.owner(ac.first, ac.second) == my) {
-                        auto s = stage_tile(c, MA, ac.first, ac.second, grp,
-                                            stage_a_tag(l, i));
-                        if (need)
-                            a_st[i] = std::move(s);
-                    }
+        // Own steps: stage the A column panel along process rows and the
+        // op(B) panel along process columns, fold locally. MA and MB are
+        // read-only here, so the pipeline may run a step ahead.
+        struct Step {
+            std::map<int, detail::PendingStage<T>> a, b;
+        };
+        auto stage_step = [&](int l) {
+            Step st;
+            for (int i = 0; i < mt; ++i) {
+                auto ac = a_coord(i, l);
+                auto grp = row_group(g, i);
+                bool const need = in_group(grp, my);
+                if (need || MA.owner(ac.first, ac.second) == my) {
+                    auto p = stage_tile_begin(c, MA, ac.first, ac.second, grp,
+                                              stage_a_tag(l, i));
+                    if (need)
+                        st.a[i] = std::move(p);
                 }
-                for (int j = 0; j < nt; ++j) {
-                    auto bc = b_coord(l, j);
-                    auto grp = col_group(g, j);
-                    bool const need = in_group(grp, my);
-                    if (need || MB.owner(bc.first, bc.second) == my) {
-                        auto s = stage_tile(c, MB, bc.first, bc.second, grp,
-                                            stage_b_tag(l, j));
-                        if (need)
-                            b_st[j] = std::move(s);
-                    }
+            }
+            for (int j = 0; j < nt; ++j) {
+                auto bc = b_coord(l, j);
+                auto grp = col_group(g, j);
+                bool const need = in_group(grp, my);
+                if (need || MB.owner(bc.first, bc.second) == my) {
+                    auto p = stage_tile_begin(c, MB, bc.first, bc.second, grp,
+                                              stage_b_tag(l, j));
+                    if (need)
+                        st.b[j] = std::move(p);
                 }
-                for (int j = 0; j < nt; ++j)
-                    for (int i = 0; i < mt; ++i)
-                        if (C.is_local(i, j))
-                            la::summa_step_accumulate(
-                                Op::NoTrans, opB, alpha, a_st[i].tile(),
-                                b_st[j].tile(), C.tile(i, j));
-            } else if (exact) {
-                // Remote step: fold the shipped product tiles at step order.
+            }
+            return st;
+        };
+        detail::pipelined_steps(c, my_hi, stage_step, [&](int, Step& st) {
+            for (int j = 0; j < nt; ++j)
+                for (int i = 0; i < mt; ++i)
+                    if (C.is_local(i, j))
+                        la::summa_step_accumulate(
+                            Op::NoTrans, opB, alpha, st.a[i].ready().tile(),
+                            st.b[j].ready().tile(), C.tile(i, j));
+        });
+        if (exact) {
+            // Remote steps follow layer 0's block: fold the shipped product
+            // tiles in step order.
+            for (int l = my_hi; l < kt; ++l) {
+                int const lay = g3.layer_of_step(l, kt);
                 for (int j = 0; j < nt; ++j)
                     for (int i = 0; i < mt; ++i)
                         if (C.is_local(i, j)) {
@@ -275,8 +293,7 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
                             blas::add(T(1), z.tile(), T(1), C.tile(i, j));
                         }
             }
-        }
-        if (!exact) {
+        } else {
             // Fold each populated remote layer's single partial per owned C
             // tile, ascending layer order (reproducible at a fixed grid).
             for (int lay = 1; lay < g3.c; ++lay) {
@@ -296,12 +313,15 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
     }
 }
 
-/// 2.5D SUMMA gemm: C := alpha A B + beta C (all NoTrans), the shape
-/// perf::summa_volume models and perf::choose_summa_plan costs.
+/// SUMMA gemm: C := alpha A B + beta C (all NoTrans, conforming
+/// block-cyclic distributions on g3's layer grid), the shape
+/// perf::summa_volume models and perf::choose_summa_plan costs. The plain
+/// 2D SUMMA is g3 = ProcGrid3d{p, q, 1}.
 template <typename T>
-void dist_gemm_25d(Communicator& c, ProcGrid3d g3, T alpha, DistMatrix<T>& A,
-                   DistMatrix<T>& B, T beta, DistMatrix<T>& C,
-                   int tag_base = 1 << 24) {
+void dist_gemm(Communicator& c, ProcGrid3d g3, T alpha, DistMatrix<T>& A,
+               DistMatrix<T>& B, T beta, DistMatrix<T>& C,
+               int tag_base = 1 << 24) {
+    tbp_require(A.mt() == C.mt());
     summa_25d(c, g3, Op::NoTrans, alpha, A, B, 0, beta, C, tag_base);
 }
 

@@ -10,8 +10,8 @@
 // one layer rank x.
 //
 // Kept free of transport details so the perf layer (cost_model's
-// summa_volume / choose_summa_plan) and core/qdwh.hh's options can share
-// the types without pulling in the mailbox machinery.
+// summa_volume / choose_summa_plan) can share the types without pulling in
+// the mailbox machinery.
 
 #pragma once
 
@@ -20,7 +20,7 @@
 
 namespace tbp::comm {
 
-/// Distributed-gemm dispatch plan: the classic 2D SUMMA oracle, the
+/// Distributed-gemm dispatch plan: the plain 2D SUMMA (c == 1), the
 /// replicated-layer 2.5D variant, or model-driven selection between them
 /// (perf::choose_summa_plan minimizes the max_rank_bytes bottleneck).
 enum class CommPlan { Auto, Grid2d, Grid25d };

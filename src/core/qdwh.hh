@@ -69,7 +69,6 @@
 #include <vector>
 
 #include "blas/kernel/stats.hh"
-#include "comm/grid3d.hh"
 #include "common/error.hh"
 #include "common/precision.hh"
 #include "common/types.hh"
@@ -112,15 +111,6 @@ struct QdwhOptions {
     int lookahead = 0;
     /// Largest batch the executor may coalesce (BatchedHost only).
     int max_batch = 32;
-    /// Distributed-run communication plan for the SUMMA-shaped gemms (the
-    /// dqdwh trailing update): Auto lets perf::choose_summa_plan cost 2D vs
-    /// replicated-layer 2.5D with the max_rank_bytes bottleneck metric at
-    /// dispatch time; Grid2d / Grid25d force a variant. Ignored by the
-    /// shared-memory paths.
-    comm::CommPlan comm_plan = comm::CommPlan::Auto;
-    /// Explicit 2.5D replication depth c (> 1 forces that many layers);
-    /// 0 = derive from comm_plan.
-    int repl = 0;
     /// Precision-ladder policy (core/precision_policy.hh). Native (and
     /// Double) plan every iteration on the matrix's own type; Float/Bf16/
     /// Adaptive plan admissible iterations on lower rungs with a native tail

@@ -276,10 +276,4 @@ private:
     BatchStats stats_;
 };
 
-// The drivers are templated over the executor-like parameter; these shims
-// let them query batching/target on a plain engine without a dependency of
-// runtime/ on device/.
-inline bool is_batched(rt::Engine const&) { return false; }
-inline bool is_batched(Executor const& ex) { return ex.batched(); }
-
 }  // namespace tbp::dev

@@ -249,11 +249,11 @@ SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
         role += static_cast<std::uint64_t>(elems) * elem_bytes;
     };
 
-    // Replays dist_gemm's stage_step (c == 1, every step) and summa_25d's
-    // fiber + re-stage + reduce loops (c > 1): owners send each operand
-    // panel tile to the q - 1 / p - 1 other row/column-group members of the
-    // layer that computes the step, remote layers having first received one
-    // fiber copy per tile from the layer-0 owner.
+    // Replays summa_25d's loops: owners send each operand panel tile to the
+    // q - 1 / p - 1 other row/column-group members of the layer that
+    // computes the step (at c == 1 layer 0 computes every step — the plain
+    // 2D SUMMA), remote layers having first received one fiber copy per
+    // tile from the layer-0 owner and shipping their C contributions back.
     for (int l = 0; l < kt; ++l) {
         int const lay = g3.layer_of_step(l, kt);
         auto const ke = static_cast<std::size_t>(kb[static_cast<size_t>(l)]);
@@ -316,9 +316,9 @@ SummaPlan choose_summa_plan(int P, std::int64_t m, std::int64_t n,
         int const L = P / c;
         int const p0 = near_square_p(L);
         int const q0 = L / p0;
-        // The c == 1 candidate is pinned to the canonical near-square grid —
-        // it is the in-tree 2D oracle path the driver runs and the baseline
-        // vol2d reports. Replicated layer grids additionally try the
+        // The c == 1 candidate (plain 2D SUMMA) is pinned to the canonical
+        // near-square grid — the grid tbp_driver runs at c == 1 and the
+        // baseline vol2d reports. Replicated layer grids additionally try the
         // transposed orientation: for a non-square gemm the staging burden
         // (q - 1 per A tile vs p - 1 per B tile) is asymmetric.
         int const orientations = (c > 1 && p0 != q0) ? 2 : 1;

@@ -72,8 +72,8 @@ CollVolume collective_volume(CollKind kind, comm::coll::Algo algo, int nranks,
                              std::size_t count, std::size_t elem_bytes);
 
 /// Exact traffic of one distributed SUMMA gemm (m x k times k x n, tile
-/// size nb) as implemented in comm/: c == 1 replays dist_gemm's per-step
-/// panel staging; c > 1 replays summa_25d's fiber replication, within-layer
+/// size nb) as implemented in comm::summa_25d: c == 1 is the plain 2D
+/// per-step panel staging; c > 1 adds fiber replication, within-layer
 /// staging, and C reduction in the mode the deterministic flag selects
 /// (ExactOrder ships a product tile per remote step; PartialSum one partial
 /// per C tile per layer). Measured per-rank CommStats from a lone gemm in a

@@ -24,6 +24,10 @@ namespace {
 std::vector<std::pair<int, int>> const kGrids = {
     {1, 1}, {2, 1}, {3, 1}, {2, 2}, {4, 2}};  // P = 1, 2, 3, 4, 8
 
+/// Replicated grids: layer 0's own SUMMA steps run through the same
+/// pipelined/legacy step loop as the 2D grids.
+std::vector<comm::ProcGrid3d> const kGrids25 = {{2, 1, 2}, {2, 2, 2}};
+
 comm::coll::Config engine_cfg() { return comm::coll::Config{}; }
 
 comm::coll::Config legacy_cfg() {
@@ -43,15 +47,16 @@ bool bits_equal(std::vector<T> const& a, std::vector<T> const& b) {
 
 /// Full distributed QDWH under `cfg`; returns rank 0's gathered U.
 template <typename T>
-std::vector<T> run_dqdwh(ref::Dense<T> const& Ad, int nb, Grid g,
-                         comm::coll::Config cfg, double l0) {
-    comm::World world(g.size());
+std::vector<T> run_dqdwh(ref::Dense<T> const& Ad, int nb,
+                         comm::ProcGrid3d g3, comm::coll::Config cfg,
+                         double l0) {
+    comm::World world(g3.size());
     world.set_coll_config(cfg);
     std::vector<T> out;
     world.run([&](comm::Communicator& c) {
-        comm::DistMatrix<T> A(c, Ad.m(), Ad.n(), nb, g);
+        comm::DistMatrix<T> A(c, Ad.m(), Ad.n(), nb, g3.layer());
         A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
-        comm::dist_qdwh(c, g, A, l0);
+        comm::dist_qdwh(c, g3, A, l0);
         auto d = comm::dist_gather(c, A);
         if (c.rank() == 0)
             out = d;
@@ -93,11 +98,14 @@ void check_qdwh_engine_vs_legacy() {
     auto Ad = ref::to_dense(gen::cond_matrix<T>(eng, n, n, nb, opt));
     double const l0 = 1.0 / opt.cond;
 
-    for (auto [p, q] : kGrids) {
-        Grid g{p, q};
-        auto legacy = run_dqdwh(Ad, nb, g, legacy_cfg(), l0);
-        auto engine = run_dqdwh(Ad, nb, g, engine_cfg(), l0);
-        EXPECT_TRUE(bits_equal(legacy, engine)) << p << "x" << q;
+    std::vector<comm::ProcGrid3d> grids = kGrids25;
+    for (auto [p, q] : kGrids)
+        grids.push_back({p, q, 1});
+    for (auto g3 : grids) {
+        auto legacy = run_dqdwh(Ad, nb, g3, legacy_cfg(), l0);
+        auto engine = run_dqdwh(Ad, nb, g3, engine_cfg(), l0);
+        EXPECT_TRUE(bits_equal(legacy, engine))
+            << g3.p << "x" << g3.q << "x" << g3.c;
     }
 }
 
@@ -140,6 +148,7 @@ TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
 
     for (auto [p, q] : {std::pair{2, 2}, {3, 1}}) {
         Grid g{p, q};
+        comm::ProcGrid3d const g3{p, q, 1};
 
         std::vector<T> ref_c;
         {
@@ -150,7 +159,7 @@ TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
                 A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
                 B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
                 C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::dist_gemm(c, g, T(2), A, B, T(-1), C);
+                comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
                 auto d = comm::dist_gather(c, C);
                 if (c.rank() == 0)
                     ref_c = d;
@@ -173,7 +182,7 @@ TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
                 A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
                 B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
                 C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::dist_gemm_tasks(c, eng, g, T(2), A, B, T(-1), C);
+                comm::dist_gemm_tasks(c, eng, g3, T(2), A, B, T(-1), C);
                 auto d = comm::dist_gather(c, C);
                 if (c.rank() == 0)
                     task_c = d;

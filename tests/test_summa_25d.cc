@@ -43,14 +43,14 @@ comm::coll::Config det_cfg(bool deterministic) {
     return cfg;
 }
 
-/// One C := 2 A B - C through the requested path on a p*q*c world; returns
-/// rank 0's gathered C. path: 0 = 2D dist_gemm (oracle; requires c == 1),
-/// 1 = SPMD summa_25d, 2 = engine-task dist_gemm_tasks_25d.
+/// One C := 2 A B - C on a p*q*c world through the SPMD dist_gemm or (tasks)
+/// the engine-task dist_gemm_tasks; returns rank 0's gathered C. At c == 1
+/// this is the plain 2D SUMMA, the oracle of the replicated runs.
 template <typename T>
 std::vector<T> run_gemm(ref::Dense<T> const& Da, ref::Dense<T> const& Db,
                         ref::Dense<T> const& Dc, int nb,
                         comm::ProcGrid3d g3, comm::coll::Config cfg,
-                        int path, int workers = 2,
+                        bool tasks, int workers = 2,
                         rt::Mode mode = rt::Mode::TaskDataflow) {
     comm::World world(g3.size());
     world.set_coll_config(cfg);
@@ -62,13 +62,11 @@ std::vector<T> run_gemm(ref::Dense<T> const& Da, ref::Dense<T> const& Db,
         A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
         B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
         C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-        if (path == 0) {
-            comm::dist_gemm(c, g, T(2), A, B, T(-1), C);
-        } else if (path == 1) {
-            comm::dist_gemm_25d(c, g3, T(2), A, B, T(-1), C);
-        } else {
+        if (tasks) {
             rt::Engine eng(workers, mode);
-            comm::dist_gemm_tasks_25d(c, eng, g3, T(2), A, B, T(-1), C);
+            comm::dist_gemm_tasks(c, eng, g3, T(2), A, B, T(-1), C);
+        } else {
+            comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
         }
         auto d = comm::dist_gather(c, C);
         if (c.rank() == 0)
@@ -103,7 +101,8 @@ std::vector<T> run_dqdwh(ref::Dense<T> const& Ad, int nb,
 TEST(Summa25d, GemmMatches2dOracleBitwise) {
     // Deterministic (ExactOrder) mode: the replicated-layer gemm must fold
     // steps in exactly the 2D order, so the result is bitwise identical to
-    // dist_gemm on the same p x q layer grid. Ragged tile edges throughout.
+    // the c = 1 run on the same p x q layer grid. Ragged tile edges
+    // throughout.
     using T = double;
     int const m = 18, k = 14, n = 11, nb = 4;
     auto Da = ref::random_dense<T>(m, k, 701);
@@ -112,16 +111,16 @@ TEST(Summa25d, GemmMatches2dOracleBitwise) {
 
     for (auto g3 : kGrids25) {
         comm::ProcGrid3d g2{g3.p, g3.q, 1};
-        auto oracle = run_gemm(Da, Db, Dc, nb, g2, det_cfg(true), 0);
-        auto got = run_gemm(Da, Db, Dc, nb, g3, det_cfg(true), 1);
+        auto oracle = run_gemm(Da, Db, Dc, nb, g2, det_cfg(true), false);
+        auto got = run_gemm(Da, Db, Dc, nb, g3, det_cfg(true), false);
         EXPECT_TRUE(bits_equal(oracle, got))
             << g3.p << "x" << g3.q << "x" << g3.c;
     }
 }
 
 TEST(Summa25d, GemmTasksMatchSpmdBitwise) {
-    // The engine-task 2.5D gemm must reproduce the blocking SPMD summa_25d
-    // exactly at every worker count, in both reduction modes (the task DAG
+    // The engine-task gemm must reproduce the SPMD dist_gemm on a replicated
+    // grid exactly at every worker count, in both reduction modes (the task DAG
     // orders the folds identically; only the overlap differs).
     using T = double;
     int const m = 18, k = 14, n = 11, nb = 4;
@@ -131,7 +130,7 @@ TEST(Summa25d, GemmTasksMatchSpmdBitwise) {
 
     for (bool det : {true, false}) {
         for (auto g3 : {comm::ProcGrid3d{2, 1, 2}, comm::ProcGrid3d{2, 2, 2}}) {
-            auto spmd = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), 1);
+            auto spmd = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), false);
             struct EngCase {
                 int workers;
                 rt::Mode mode;
@@ -139,7 +138,7 @@ TEST(Summa25d, GemmTasksMatchSpmdBitwise) {
             for (auto ec : {EngCase{1, rt::Mode::Sequential},
                             EngCase{1, rt::Mode::TaskDataflow},
                             EngCase{2, rt::Mode::TaskDataflow}}) {
-                auto tasks = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), 2,
+                auto tasks = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), true,
                                       ec.workers, ec.mode);
                 EXPECT_TRUE(bits_equal(spmd, tasks))
                     << g3.p << "x" << g3.q << "x" << g3.c
@@ -187,8 +186,8 @@ TEST(Summa25d, PartialSumReproducibleAndAccurate) {
             Cref(i, j) -= Dc(i, j);  // beta = -1
 
     for (auto g3 : {comm::ProcGrid3d{2, 1, 2}, comm::ProcGrid3d{2, 2, 4}}) {
-        auto one = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), 1);
-        auto two = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), 1);
+        auto one = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), false);
+        auto two = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), false);
         EXPECT_TRUE(bits_equal(one, two))
             << g3.p << "x" << g3.q << "x" << g3.c;
         ASSERT_EQ(one.size(), static_cast<size_t>(m) * n);
@@ -229,10 +228,7 @@ TEST(Summa25d, VolumeModelMatchesMeasured) {
                     [&](std::int64_t i, std::int64_t j) { return Db(i, j); });
                 C.fill(
                     [&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                if (g3.c == 1)
-                    comm::dist_gemm(c, g, T(2), A, B, T(-1), C);
-                else
-                    comm::dist_gemm_25d(c, g3, T(2), A, B, T(-1), C);
+                comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
             });
             auto rep = perf::comm_report(world);
             auto v = perf::summa_volume(m, n, k, nb, sizeof(T), g3.p, g3.q,

@@ -68,7 +68,6 @@ struct Args {
     int gp = 0, gq = 0;        // process grid (0 -> auto near-square)
     std::string comm = "engine";  // engine | legacy | ring
     comm::CommPlan comm_plan = comm::CommPlan::Auto;  // --comm-plan
-    int repl = 0;              // --repl: explicit 2.5D depth c (0 = derive)
     int jobs = 200;            // --algo serve: batch size
     double rate = 0;           // arrival rate jobs/s (0 -> submit at once)
     bool fifo = false;         // serve: disable the QoS priority split
@@ -124,7 +123,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "          [--threads T] [--seed S] [--r R] [--verbose]\n"
                  "          [--ranks P] [--grid PxQ] [--comm engine|legacy|"
                  "ring]\n"
-                 "          [--comm-plan auto|2d|2.5d] [--repl C]\n"
+                 "          [--comm-plan auto|2d|2.5d]\n"
                  "          [--jobs J] [--rate JOBS_PER_SEC] [--fifo]\n"
                  "          [--target tasks|batched] [--lookahead D] "
                  "[--max-batch B]\n"
@@ -172,9 +171,8 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "  'auto' costs 2D vs replicated-layer 2.5D with the "
                  "max_rank_bytes\n"
                  "  bottleneck model and takes the cheaper; '2d'/'2.5d' force "
-                 "one.\n"
-                 "  --repl C forces replication depth C (layer grid spans "
-                 "ranks/C).\n"
+                 "one\n"
+                 "  ('2.5d' picks the replication depth by the same model).\n"
                  "  --fault-plan off|drop|delay|dup|corrupt|slow|poison|mix "
                  "installs a\n"
                  "  seeded chaos plan on the dqdwh World (or the serve batch's "
@@ -297,8 +295,6 @@ Args parse(int argc, char** argv) {
                 std::fprintf(stderr, "unknown --comm-plan %s\n", cp.c_str());
                 usage(argv[0]);
             }
-        } else if (!std::strcmp(argv[i], "--repl")) {
-            a.repl = std::atoi(need("--repl"));
         } else if (!std::strcmp(argv[i], "--fault-plan")) {
             a.fault_plan = need("--fault-plan");
             if (a.fault_plan != "off" && a.fault_plan != "drop"
@@ -564,33 +560,12 @@ int run_dist(Args const& a) {
         cfg.allgather = comm::coll::Algo::Ring;
         cfg.deterministic = false;
     }
-    // Resolve the SUMMA plan for the trailing updates. --repl C pins the
-    // replication depth; otherwise the chooser costs every c | P for the
-    // reduction mode that will run and takes the max_rank_bytes minimizer.
-    perf::SummaPlan plan;
-    if (a.repl > 1) {
-        if (a.ranks % a.repl != 0) {
-            std::fprintf(stderr, "--repl %d must divide --ranks %d\n", a.repl,
-                         a.ranks);
-            return 2;
-        }
-        int const L = a.ranks / a.repl;
-        plan.c = a.repl;
-        for (int p = 1; p * p <= L; ++p)
-            if (L % p == 0)
-                plan.p = p;
-        plan.q = L / plan.p;
-        plan.vol = perf::summa_volume(a.m, a.n, a.n, a.nb, sizeof(T), plan.p,
-                                      plan.q, plan.c, cfg.deterministic);
-        auto ref2d = perf::choose_summa_plan(a.ranks, a.m, a.n, a.n, a.nb,
-                                             sizeof(T), cfg.deterministic,
-                                             comm::CommPlan::Grid2d);
-        plan.vol2d = ref2d.vol;
-    } else {
-        plan = perf::choose_summa_plan(a.ranks, a.m, a.n, a.n, a.nb,
-                                       sizeof(T), cfg.deterministic,
-                                       a.comm_plan);
-    }
+    // Resolve the SUMMA plan for the trailing updates: the chooser costs
+    // every c | P for the reduction mode that will run and takes the
+    // max_rank_bytes minimizer (--comm-plan 2d / 2.5d restricts it).
+    auto const plan = perf::choose_summa_plan(a.ranks, a.m, a.n, a.n, a.nb,
+                                              sizeof(T), cfg.deterministic,
+                                              a.comm_plan);
     // c == 1 keeps the legacy behavior exactly (including an explicit
     // --grid); c > 1 uses the plan's near-square layer grid.
     comm::ProcGrid3d g3 = plan.c == 1
