@@ -1,9 +1,13 @@
 // Micro-kernel GEMM benchmark: measured GFLOP/s of the packed
 // register-blocked kernel layer (blas/kernel/) against the naive reference
 // loops, swept over tile sizes and all four scalar types. This is the
-// acceptance harness for the kernel layer — the speedup it prints at
-// nb=256 double is the number quoted in the PR description — and doubles as
-// a retuning tool after any change to Params<T> (see kernel/params.hh).
+// acceptance harness for the kernel layer and doubles as a retuning tool
+// after any change to Params<T> (see kernel/params.hh).
+//
+// A second sweep times the public entries of the tile kernels built on it
+// (herk, trsm, trmm, unmqr, tsmqr, ttmqr) at nb = 32, 64, 128 and 192, each
+// with its ratio to the packed gemm at the same nb: how close the
+// triangular and Householder kernels run to the gemm rate.
 //
 // Usage:
 //   bench_gemm_kernel                 full sweep, console table +
@@ -11,19 +15,25 @@
 //   bench_gemm_kernel --json PATH     write the JSON document to PATH
 //   bench_gemm_kernel --smoke         fast ctest mode: one mid-size double
 //                                     tile, asserts the micro path is no
-//                                     slower than naive and bit-level sane
+//                                     slower than naive and bit-level sane,
+//                                     and that every tile kernel's public
+//                                     entry matches its naive form at nb=64
 //
-// TBP_SIZES="64,128" overrides the sweep sizes.
+// TBP_SIZES="64,128" overrides the gemm sweep sizes.
 
 #include <algorithm>
 #include <complex>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
+#include "blas/factor.hh"
 #include "blas/gemm.hh"
+#include "blas/householder.hh"
+#include "blas/level3.hh"
 #include "common/aligned.hh"
 #include "common/timer.hh"
 
@@ -156,6 +166,174 @@ void run_type(std::vector<std::int64_t> const& sizes,
     }
 }
 
+/// An nb x nb tile with its own aligned storage, filled deterministically.
+template <typename T>
+struct OwnedTile {
+    aligned_vector<T> v;
+    Tile<T> t;
+    OwnedTile(int nb, std::uint64_t seed)
+        : v(static_cast<std::size_t>(nb) * nb), t(v.data(), nb, nb, nb) {
+        fill(v, seed);
+    }
+    OwnedTile(OwnedTile const&) = delete;
+    void load(OwnedTile const& o) {
+        std::copy(o.v.begin(), o.v.end(), v.begin());
+    }
+};
+
+/// One tile kernel as run by the sweep: writes X1 (and X2), whose inputs
+/// are restored before every call; `naive` selects the *_naive form.
+template <typename T>
+struct TileKernel {
+    char const* name;
+    std::function<void(bool naive, Tile<T> const& X1, Tile<T> const& X2)> run;
+};
+
+/// Operands of the tile-kernel rows at one nb: random tiles, a Cholesky
+/// factor for trsm, and the V/T pairs of a geqrt, a tsqrt and a ttqrt.
+template <typename T>
+struct TileOperands {
+    OwnedTile<T> G, C1, C2, L, V, Tv, Rts, Vts, Tts, Rtt, Vtt, Ttt;
+
+    explicit TileOperands(int n)
+        : G(n, 1), C1(n, 2), C2(n, 3), L(n, 4), V(n, 5), Tv(n, 6),
+          Rts(n, 7), Vts(n, 8), Tts(n, 9), Rtt(n, 10), Vtt(n, 11),
+          Ttt(n, 12) {
+        blas::gemm(Op::NoTrans, Op::ConjTrans, T(1), G.t, G.t, T(0), L.t);
+        for (int i = 0; i < n; ++i)
+            L.t(i, i) += T(n);
+        blas::potrf(Uplo::Lower, L.t);
+        blas::geqrt(V.t, Tv.t);
+        Rts.load(V);
+        blas::tsqrt(Rts.t, Vts.t, Tts.t);
+        Rtt.load(V);
+        blas::geqrt(Vtt.t, Ttt.t);  // upper-triangular R for ttqrt
+        blas::ttqrt(Rtt.t, Vtt.t, Ttt.t);
+    }
+
+    /// The kernels in the shapes the QDWH iterations use them.
+    std::vector<TileKernel<T>> kernels() {
+        using R = real_t<T>;
+        auto const CT = Op::ConjTrans;
+        return {
+            {"herk",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+                 (naive ? blas::herk_naive<T> : blas::herk<T>)(
+                     Uplo::Lower, CT, R(1), G.t, R(0), X1);
+             }},
+            {"trsm",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+                 (naive ? blas::trsm_naive<T> : blas::trsm<T>)(
+                     Side::Right, Uplo::Lower, CT, Diag::NonUnit, T(1), L.t,
+                     X1);
+             }},
+            {"trmm",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+                 (naive ? blas::trmm_naive<T> : blas::trmm<T>)(
+                     Uplo::Lower, CT, Diag::NonUnit, T(1), L.t, X1);
+             }},
+            {"unmqr",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+                 (naive ? blas::unmqr_naive<T> : blas::unmqr<T>)(CT, V.t,
+                                                                 Tv.t, X1);
+             }},
+            {"tsmqr",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const& X2) {
+                 (naive ? blas::tsmqr_naive<T> : blas::tsmqr<T>)(
+                     CT, Vts.t, Tts.t, X1, X2);
+             }},
+            {"ttmqr",
+             [this](bool naive, Tile<T> const& X1, Tile<T> const& X2) {
+                 (naive ? blas::ttmqr_naive<T> : blas::ttmqr<T>)(
+                     CT, Vtt.t, Ttt.t, X1, X2, false);
+             }},
+        };
+    }
+};
+
+/// GF/s of `call` from the flops it charges to the measured-rate counter,
+/// timing only the call (`restore` resets its inputs outside the clock);
+/// one warm-up call, then at least ~0.12 s of calls.
+template <typename Restore, typename Call>
+double tile_rate(Restore&& restore, Call&& call) {
+    restore();
+    call();
+    double busy = 0, fl = 0;
+    for (int reps = 0; busy < 0.12 || reps < 3; ++reps) {
+        restore();
+        double const f0 = blas::kernel::flops_performed();
+        Timer t;
+        call();
+        busy += t.elapsed();
+        fl += blas::kernel::flops_performed() - f0;
+    }
+    return fl / busy / 1e9;
+}
+
+template <typename T>
+void run_tile_kernels(std::vector<int> const& nbs, bench::JsonEmitter& out) {
+    for (int nb : nbs) {
+        TileOperands<T> ops(nb);
+        OwnedTile<T> X1(nb, 0), X2(nb, 0);
+        auto restore = [&] {
+            X1.load(ops.C1);
+            X2.load(ops.C2);
+        };
+        double const gemm_gf = tile_rate(restore, [&] {
+            blas::gemm(Op::NoTrans, Op::NoTrans, T(1), ops.G.t, ops.C2.t,
+                       T(0.5), X1.t);
+        });
+        for (auto const& k : ops.kernels()) {
+            double const gf =
+                tile_rate(restore, [&] { k.run(false, X1.t, X2.t); });
+            double const ratio = gemm_gf > 0 ? gf / gemm_gf : 0.0;
+            std::printf("  %s nb=%4d  %-5s %7.2f GF/s  (%.2f of gemm at "
+                        "%.2f GF/s)\n",
+                        type_name(T{}), nb, k.name, gf, ratio, gemm_gf);
+            bench::JsonRecord r;
+            r.field("op", k.name)
+                .field("type", type_name(T{}))
+                .field("nb", nb)
+                .field("gflops", gf)
+                .field("gemm_gflops", gemm_gf)
+                .field("gemm_ratio", ratio);
+            out.add(r);
+        }
+    }
+}
+
+/// Max |public - naive| of every tile kernel at nb, relative to the naive
+/// result's magnitude, over both outputs.
+template <typename T>
+bool tile_kernels_match(int nb, double tol) {
+    TileOperands<T> ops(nb);
+    OwnedTile<T> X1(nb, 0), X2(nb, 0), Y1(nb, 0), Y2(nb, 0);
+    bool ok = true;
+    for (auto const& k : ops.kernels()) {
+        X1.load(ops.C1);
+        X2.load(ops.C2);
+        Y1.load(ops.C1);
+        Y2.load(ops.C2);
+        k.run(true, Y1.t, Y2.t);
+        k.run(false, X1.t, X2.t);
+        double dmax = 0, vmax = 0;
+        auto accumulate = [&](OwnedTile<T> const& x, OwnedTile<T> const& y) {
+            for (std::size_t i = 0; i < y.v.size(); ++i) {
+                dmax = std::max(
+                    dmax, static_cast<double>(std::abs(x.v[i] - y.v[i])));
+                vmax = std::max(vmax, static_cast<double>(std::abs(y.v[i])));
+            }
+        };
+        accumulate(X1, Y1);
+        accumulate(X2, Y2);
+        double const rel = vmax > 0 ? dmax / vmax : dmax;
+        std::printf("smoke: %s nb=%d %-5s public vs naive maxdiff %.2e\n",
+                    type_name(T{}), nb, k.name, rel);
+        ok = ok && rel < tol;
+    }
+    return ok;
+}
+
 int run_smoke() {
     // Mid-size double tile: the micro path must beat the naive loops and
     // agree numerically. Kept fast (~1 s) so it can run inside ctest.
@@ -177,7 +355,8 @@ int run_smoke() {
     std::printf("smoke: d n=%d naive %.2f GF/s micro %.2f GF/s speedup "
                 "%.2fx maxdiff %.2e\n",
                 n, naive.gflops, micro.gflops, speedup, diff);
-    bool const ok = speedup >= 1.05 && diff < 1e-12;
+    bool const tiles_ok = tile_kernels_match<double>(64, 1e-12);
+    bool const ok = speedup >= 1.05 && diff < 1e-12 && tiles_ok;
     std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
 }
@@ -211,6 +390,13 @@ int main(int argc, char** argv) {
     run_type<double>(sizes, out);
     run_type<std::complex<float>>(sizes, out);
     run_type<std::complex<double>>(sizes, out);
+
+    std::printf("\ntile kernels (public entry) vs packed gemm:\n");
+    std::vector<int> const nbs = {32, 64, 128, 192};
+    run_tile_kernels<float>(nbs, out);
+    run_tile_kernels<double>(nbs, out);
+    run_tile_kernels<std::complex<float>>(nbs, out);
+    run_tile_kernels<std::complex<double>>(nbs, out);
 
     if (out.write(json_path))
         std::printf("\nwrote %s\n", json_path.c_str());

@@ -11,12 +11,16 @@
 //   Q = H_1 * H_2 * ... * H_k = I - V * T * V^H with T upper triangular.
 // The factorization loop applies H^H from the left, so A = Q * R.
 //
-// The appliers (unmqr, tsmqr) are GEMM-shaped: both are compact-WY products
-// C -= V op(T) V^H C. Each has a *_naive elementwise reference and a level-3
-// form (copy + trmm on the triangular factors + GEMM on the dense blocks)
-// that routes the bulk of the flops through the packed micro-kernel layer;
-// the shared entry point dispatches on size / TBP_NAIVE_BLAS and charges the
-// aggregate flops to the measured-rate counter.
+// The appliers (unmqr, tsmqr, ttmqr) are GEMM-shaped: all are compact-WY
+// products C -= V op(T) V^H C. Each has a *_naive elementwise reference and
+// a level-3 form that routes the bulk of the flops through the packed
+// micro-kernel layer: GEMM on the dense V blocks, the recursive trmm of
+// level3.hh on the triangular V blocks, and one dense GEMM on the whole T
+// tile for op(T) W. That last product is exact because geqrt, tsqrt and
+// ttqrt always store T with a zero strict lower triangle; at or below
+// kernel::kTriBase it stays the naive triangular product. The shared entry
+// point dispatches on size / TBP_NAIVE_BLAS and charges the aggregate flops
+// to the measured-rate counter.
 
 #pragma once
 
@@ -118,6 +122,10 @@ void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
     //   T(0:j, j)  = -tau_j * T(0:j, 0:j) * (V(:, 0:j)^H v_j)
     for (int j = 0; j < k; ++j) {
         Tf(j, j) = tau[j];
+        // Zero the strictly lower part of column j so T can be used whole,
+        // also when H_j = I (tau == 0).
+        for (int i = j + 1; i < Tf.mb(); ++i)
+            Tf(i, j) = T(0);
         if (tau[j] == T(0)) {
             for (int i = 0; i < j; ++i)
                 Tf(i, j) = T(0);
@@ -137,14 +145,33 @@ void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
                 s += Tf(i, l) * Tf(l, j);
             Tf(i, j) = s;
         }
-        // Zero the strictly lower part of column j so T can be used whole.
-        for (int i = j + 1; i < Tf.mb(); ++i)
-            Tf(i, j) = T(0);
     }
 
     kernel::count_flops(flops::geqrf(mb, nb) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }
+
+namespace detail {
+
+/// S := op(T) W for the compact-WY factor in Tf's leading k-by-k block
+/// (k = W.mb()), leaving W intact. Above kernel::kTriBase this is one dense
+/// GEMM on the whole block, exact because T's strict lower triangle is
+/// stored as zeros; at or below it, the naive triangular product.
+template <typename T>
+void apply_tfactor(Op op, Tile<T> const& Tf, Tile<T> const& W,
+                   Tile<T> const& S) {
+    int const k = W.mb();
+    auto const Tk = Tf.sub(0, 0, k, k);
+    Op const opt = (op == Op::NoTrans) ? Op::NoTrans : Op::ConjTrans;
+    if (k <= kernel::kTriBase) {
+        copy(W, S);
+        trmm_naive(Uplo::Upper, opt, Diag::NonUnit, T(1), Tk, S);
+        return;
+    }
+    gemm_dispatch(opt, Op::NoTrans, T(1), Tk, W, T(0), S);
+}
+
+}  // namespace detail
 
 /// Apply the block reflector from geqrt(V, T) to tile C from the left
 /// (reference element loops):
@@ -210,7 +237,7 @@ void unmqr_naive(Op op, Tile<T> const& V, Tile<T> const& Tf,
 
 /// Level-3 unmqr: split V = [V1; V2] with V1 unit lower triangular (k-by-k)
 /// and V2 dense, then
-///   W  = op(T) * (V1^H C1 + V2^H C2)   (trmm + GEMM)
+///   W  = op(T) * (V1^H C1 + V2^H C2)   (trmm + GEMM, then GEMM)
 ///   C1 -= V1 * W,  C2 -= V2 * W        (trmm + GEMM)
 /// Workspaces come from the calling thread's arena (kWork0/kWork1); the
 /// GEMM panels go through the packed micro-kernel layer.
@@ -239,18 +266,17 @@ void unmqr_level3(Op op, Tile<T> const& V, Tile<T> const& Tf,
         gemm_dispatch(Op::ConjTrans, Op::NoTrans, T(1), V.sub(k, 0, mb - k, k),
                       C.sub(k, 0, mb - k, nn), T(1), W);
 
-    // W := op(T) W.
-    trmm_dispatch(Uplo::Upper,
-                  (op == Op::NoTrans) ? Op::NoTrans : Op::ConjTrans,
-                  Diag::NonUnit, T(1), Tf.sub(0, 0, k, k), W);
+    // W2 := op(T) W.
+    detail::apply_tfactor(op, Tf, W, W2);
 
-    // C1 -= V1 W (via W2 so W stays intact for the V2 update), C2 -= V2 W.
-    copy(W, W2);
-    trmm_dispatch(Uplo::Lower, Op::NoTrans, Diag::Unit, T(1), V1, W2);
-    add(T(-1), W2, T(1), C1);
+    // C1 -= V1 W2 (via W so W2 stays intact for the V2 update),
+    // C2 -= V2 W2.
+    copy(W2, W);
+    trmm_dispatch(Uplo::Lower, Op::NoTrans, Diag::Unit, T(1), V1, W);
+    add(T(-1), W, T(1), C1);
     if (mb > k)
         gemm_dispatch(Op::NoTrans, Op::NoTrans, T(-1), V.sub(k, 0, mb - k, k),
-                      W, T(1), C.sub(k, 0, mb - k, nn));
+                      W2, T(1), C.sub(k, 0, mb - k, nn));
 }
 
 template <typename T>
@@ -384,9 +410,9 @@ void tsmqr_naive(Op op, Tile<T> const& V2, Tile<T> const& Tf,
 }
 
 /// Level-3 tsmqr: the top of the reflector block is the identity, so
-///   S  = op(T) * (C1(0:n, :) + V2^H C2)   (GEMM + trmm)
+///   S  = op(T) * (C1(0:n, :) + V2^H C2)   (GEMM, then GEMM)
 ///   C1(0:n, :) -= S,  C2 -= V2 * S        (add + GEMM)
-/// with the two m2-deep GEMM panels carrying essentially all the flops.
+/// with the two m2-deep GEMM panels carrying most of the flops.
 template <typename T>
 void tsmqr_level3(Op op, Tile<T> const& V2, Tile<T> const& Tf,
                   Tile<T> const& C1, Tile<T> const& C2) {
@@ -399,16 +425,15 @@ void tsmqr_level3(Op op, Tile<T> const& V2, Tile<T> const& Tf,
         return;
 
     auto& arena = kernel::tls_arena<T>();
-    Tile<T> S(arena.get(kernel::kWork0, static_cast<std::size_t>(n) * nn), n,
-              nn, n);
+    std::size_t const wcount = static_cast<std::size_t>(n) * nn;
+    Tile<T> S(arena.get(kernel::kWork0, wcount), n, nn, n);
+    Tile<T> W(arena.get(kernel::kWork1, wcount), n, nn, n);
     auto C1t = C1.sub(0, 0, n, nn);
 
-    copy(C1t, S);
+    copy(C1t, W);
     if (m2 > 0)
-        gemm_dispatch(Op::ConjTrans, Op::NoTrans, T(1), V2, C2, T(1), S);
-    trmm_dispatch(Uplo::Upper,
-                  (op == Op::NoTrans) ? Op::NoTrans : Op::ConjTrans,
-                  Diag::NonUnit, T(1), Tf.sub(0, 0, n, n), S);
+        gemm_dispatch(Op::ConjTrans, Op::NoTrans, T(1), V2, C2, T(1), W);
+    detail::apply_tfactor(op, Tf, W, S);
     add(T(-1), S, T(1), C1t);
     if (m2 > 0)
         gemm_dispatch(Op::NoTrans, Op::NoTrans, T(-1), V2, S, T(1), C2);
@@ -562,7 +587,8 @@ void ttmqr_naive(Op op, Tile<T> const& V2, Tile<T> const& Tf,
 
 /// Level-3 ttmqr for the square case (m2 == n, the production shape): both
 /// V2 products are upper-triangular trmm, so the applier routes through the
-/// packed trmm path instead of the dense tsmqr GEMM panels.
+/// recursive trmm instead of the dense tsmqr GEMM panels; op(T) S is one
+/// GEMM.
 template <typename T>
 void ttmqr_level3(Op op, Tile<T> const& V2, Tile<T> const& Tf,
                   Tile<T> const& C1, Tile<T> const& C2, bool c2_zero) {
@@ -581,16 +607,15 @@ void ttmqr_level3(Op op, Tile<T> const& V2, Tile<T> const& Tf,
     Tile<T> W(arena.get(kernel::kWork1, wcount), n, nn, n);
     auto C1t = C1.sub(0, 0, n, nn);
 
-    // S = C1(0:n, :) + V2^H C2 (the V2 term via an upper-triangular trmm).
-    copy(C1t, S);
+    // W = C1(0:n, :) + V2^H C2 (the V2 term via an upper-triangular trmm),
+    // then S = op(T) W.
+    copy(C1t, W);
     if (!c2_zero) {
-        copy(C2, W);
-        trmm_dispatch(Uplo::Upper, Op::ConjTrans, Diag::NonUnit, T(1), V2, W);
-        add(T(1), W, T(1), S);
+        copy(C2, S);
+        trmm_dispatch(Uplo::Upper, Op::ConjTrans, Diag::NonUnit, T(1), V2, S);
+        add(T(1), S, T(1), W);
     }
-    trmm_dispatch(Uplo::Upper,
-                  (op == Op::NoTrans) ? Op::NoTrans : Op::ConjTrans,
-                  Diag::NonUnit, T(1), Tf.sub(0, 0, n, n), S);
+    detail::apply_tfactor(op, Tf, W, S);
     add(T(-1), S, T(1), C1t);
 
     // C2 -= V2 S (or C2 := -V2 S when C2 was structurally zero).

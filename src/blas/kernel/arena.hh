@@ -1,17 +1,19 @@
 // Per-thread reusable buffer arenas for the kernel layer.
 //
-// The blocked GEMM driver needs two pack buffers per call and the level-3
-// Householder appliers need two small workspaces; allocating them per tile
-// task would put malloc on the hot path of every worker. Each thread instead
-// keeps one arena of named slots that grow monotonically and are reused
-// across calls — after warm-up, tile kernels perform zero allocations.
+// The blocked GEMM driver needs two pack buffers per call, the level-3
+// Householder appliers two small workspaces and herk one; allocating them
+// per tile task would put malloc on the hot path of every worker. Each
+// thread instead keeps one arena of named slots that grow monotonically and
+// are reused across calls — after warm-up, tile kernels perform zero
+// allocations.
 //
 // Buffers are 64-byte aligned (aligned_vector) so packed panels start on
 // cache-line/vector boundaries. Slots are per-thread, so no synchronization
 // is needed; a kernel must not call another kernel that reuses the same slot
 // while its own pointer is live (the slot assignments below keep the GEMM
 // pack slots disjoint from the Householder workspace slots for exactly that
-// reason: unmqr/tsmqr hold W0/W1 across inner gemm/trmm calls).
+// reason: the appliers hold W0/W1 and herk W0 across inner gemm/trmm
+// calls).
 
 #pragma once
 
@@ -25,8 +27,9 @@ namespace tbp::blas::kernel {
 enum Slot : int {
     kPackA = 0,   ///< packed A panel (gemm driver only)
     kPackB = 1,   ///< packed B panel (gemm driver only)
-    kWork0 = 2,   ///< unmqr/tsmqr W workspace (held across gemm calls)
-    kWork1 = 3,   ///< unmqr second workspace
+    kWork0 = 2,   ///< applier W/S workspace, herk diagonal block (held
+                  ///< across gemm calls)
+    kWork1 = 3,   ///< applier second workspace
     kNumSlots = 4
 };
 

@@ -20,6 +20,11 @@
 // Complex types use split real/imaginary packing (see pack.hh), so their
 // micro-kernels run on contiguous real planes and auto-vectorize like the
 // real kernels.
+//
+// Two size thresholds route the tile kernels onto this layer:
+// kGemmCrossover for gemm itself, and kTriBase, the base case of the
+// recursive triangular kernels and the Householder appliers, so a tile of
+// 32 or more spends most of its flops in the micro-kernel.
 
 #pragma once
 
@@ -55,9 +60,12 @@ struct Params<std::complex<double>> {
     static constexpr int MC = 64, KC = 192, NC = 4096;
 };
 
-/// Diagonal-block size for the blocked (outer solve + GEMM update)
-/// formulations of trsm/trmm/herk in level3.hh.
-inline constexpr int kL3Block = 64;
+/// Base case of the recursive triangular kernels in level3.hh (trsm, trmm,
+/// herk) and of the Householder appliers' T-factor product: a triangular
+/// dimension at or below it runs the naive element loops (herk's diagonal
+/// blocks instead go through gemm into a workspace), anything larger is
+/// halved with a GEMM update between the halves.
+inline constexpr int kTriBase = 16;
 
 /// Below this m*n*k volume the packed path's setup cost is not worth it and
 /// the dispatchers use the naive kernels directly.

@@ -5,20 +5,31 @@
 // selects an implicit unit diagonal.
 //
 // Each kernel exists in two forms sharing one public entry point:
-//   *_naive   - the original element loops, kept as the tested reference and
-//               used for the diagonal blocks of the blocked forms.
-//   *_blocked - kL3Block-wide diagonal blocks handled naively, everything
-//               else reformulated as GEMM panels routed through the packed
-//               micro-kernel layer (blas/kernel/), where almost all the
-//               flops live.
-// The dispatcher picks naive for small tiles or when TBP_NAIVE_BLAS is set,
-// and charges the call's flops to the measured-rate counter either way.
+//   *_naive     - the original element loops, kept as the tested reference
+//                 and used as the recursion's base case.
+//   *_recursive - halves the triangular dimension until it is at most
+//                 kernel::kTriBase (16), with one GEMM update between the
+//                 halves routed through the packed micro-kernel layer
+//                 (blas/kernel/). trsm and trmm solve/multiply the base-case
+//                 diagonal blocks naively, which keeps about kTriBase / n of
+//                 their flops (a quarter at n = 64) in the element loops;
+//                 herk computes each diagonal block by GEMM into an arena
+//                 workspace and merges only its triangle, so all its flops
+//                 are GEMM flops.
+// A tile at or below the base case runs the naive loops whole, as does every
+// tile when TBP_NAIVE_BLAS is set; the public entry charges the call's flops
+// to the measured-rate counter either way.
+//
+// Precision: under a bf16 execution mode (prec::exec_gemm_mode) the GEMM
+// updates inside these kernels are truncated to bf16 at pack, like any other
+// float gemm; only the naive base cases run in fp32. Before the recursion,
+// a 64-wide tile ran entirely in the naive fp32 loops while charge_prec
+// already charged its flops as bf16.
 
 #pragma once
 
-#include <algorithm>
-
 #include "blas/gemm.hh"
+#include "blas/kernel/arena.hh"
 #include "blas/kernel/params.hh"
 #include "blas/kernel/stats.hh"
 #include "common/flops.hh"
@@ -60,44 +71,52 @@ void herk_naive(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
     }
 }
 
-/// Blocked herk: naive diagonal blocks (preserving the exactly-real
-/// diagonal), GEMM panels for the off-diagonal part of the triangle.
+/// Recursive herk: the off-diagonal block between the two halves is one
+/// GEMM; a diagonal block at the base case is computed whole by GEMM into
+/// the arena's kWork0 slot, and only its `uplo` triangle is merged into C,
+/// with the diagonal forced exactly real as in herk_naive.
 template <typename T>
-void herk_blocked(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
-                  real_t<T> beta, Tile<T> const& C) {
+void herk_recursive(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
+                    real_t<T> beta, Tile<T> const& C) {
     int const n = C.mb();
     tbp_require(C.nb() == n);
     int const k = (op == Op::NoTrans) ? A.nb() : A.mb();
     tbp_require(((op == Op::NoTrans) ? A.mb() : A.nb()) == n);
 
+    Op const opa = (op == Op::NoTrans) ? Op::NoTrans : Op::ConjTrans;
+    Op const opb = (op == Op::NoTrans) ? Op::ConjTrans : Op::NoTrans;
     T const al = from_real<T>(alpha);
     T const be = from_real<T>(beta);
-    for (int j0 = 0; j0 < n; j0 += kernel::kL3Block) {
-        int const bs = std::min(kernel::kL3Block, n - j0);
-        auto Ad = (op == Op::NoTrans) ? A.sub(j0, 0, bs, k)
-                                      : A.sub(0, j0, k, bs);
-        herk_naive(uplo, op, alpha, Ad, beta, C.sub(j0, j0, bs, bs));
-        if (uplo == Uplo::Lower && j0 + bs < n) {
-            int const mrest = n - j0 - bs;
-            if (op == Op::NoTrans)
-                gemm_dispatch(Op::NoTrans, Op::ConjTrans, al,
-                              A.sub(j0 + bs, 0, mrest, k), A.sub(j0, 0, bs, k),
-                              be, C.sub(j0 + bs, j0, mrest, bs));
-            else
-                gemm_dispatch(Op::ConjTrans, Op::NoTrans, al,
-                              A.sub(0, j0 + bs, k, mrest), A.sub(0, j0, k, bs),
-                              be, C.sub(j0 + bs, j0, mrest, bs));
-        } else if (uplo == Uplo::Upper && j0 > 0) {
-            if (op == Op::NoTrans)
-                gemm_dispatch(Op::NoTrans, Op::ConjTrans, al,
-                              A.sub(0, 0, j0, k), A.sub(j0, 0, bs, k), be,
-                              C.sub(0, j0, j0, bs));
-            else
-                gemm_dispatch(Op::ConjTrans, Op::NoTrans, al,
-                              A.sub(0, 0, k, j0), A.sub(0, j0, k, bs), be,
-                              C.sub(0, j0, j0, bs));
+    if (n <= kernel::kTriBase) {
+        Tile<T> W(kernel::tls_arena<T>().get(
+                      kernel::kWork0, static_cast<std::size_t>(n) * n),
+                  n, n, n);
+        gemm_dispatch(opa, opb, al, A, A, T(0), W);
+        for (int j = 0; j < n; ++j) {
+            int const ilo = (uplo == Uplo::Lower) ? j : 0;
+            int const ihi = (uplo == Uplo::Lower) ? n : j + 1;
+            for (int i = ilo; i < ihi; ++i) {
+                T const c0 = (beta == real_t<T>(0)) ? T(0) : be * C(i, j);
+                C(i, j) = c0 + W(i, j);
+            }
+            C(j, j) = from_real<T>(real_part(C(j, j)));
         }
+        return;
     }
+
+    // Rows [r0, r0 + rn) of op(A), as the stored block.
+    auto rows = [&](int r0, int rn) {
+        return (op == Op::NoTrans) ? A.sub(r0, 0, rn, k) : A.sub(0, r0, k, rn);
+    };
+    int const n1 = n / 2, n2 = n - n1;
+    herk_recursive(uplo, op, alpha, rows(0, n1), beta, C.sub(0, 0, n1, n1));
+    if (uplo == Uplo::Lower)
+        gemm_dispatch(opa, opb, al, rows(n1, n2), rows(0, n1), be,
+                      C.sub(n1, 0, n2, n1));
+    else
+        gemm_dispatch(opa, opb, al, rows(0, n1), rows(n1, n2), be,
+                      C.sub(0, n1, n1, n2));
+    herk_recursive(uplo, op, alpha, rows(n1, n2), beta, C.sub(n1, n1, n2, n2));
 }
 
 template <typename T>
@@ -105,10 +124,10 @@ void herk(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
           real_t<T> beta, Tile<T> const& C) {
     int const n = C.mb();
     int const k = (op == Op::NoTrans) ? A.nb() : A.mb();
-    if (kernel::use_naive() || n <= kernel::kL3Block)
+    if (kernel::use_naive() || n <= kernel::kTriBase)
         herk_naive(uplo, op, alpha, A, beta, C);
     else
-        herk_blocked(uplo, op, alpha, A, beta, C);
+        herk_recursive(uplo, op, alpha, A, beta, C);
     kernel::count_flops(flops::syrk(n, k) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }
@@ -192,87 +211,57 @@ void trsm_naive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
     }
 }
 
-/// Blocked trsm: right-looking block substitution — naive solve on each
-/// kL3Block diagonal block, one GEMM panel update of the remaining
-/// right-hand sides per block step.
+namespace detail {
+
+/// The stored block of A whose op() is op(A)(i0:i0+mi, j0:j0+nj).
 template <typename T>
-void trsm_blocked(Side side, Uplo uplo, Op op, Diag diag, T alpha,
-                  Tile<T> const& A, Tile<T> const& B) {
+Tile<T> op_sub(Op op, Tile<T> const& A, int i0, int j0, int mi, int nj) {
+    return (op == Op::NoTrans) ? A.sub(i0, j0, mi, nj) : A.sub(j0, i0, nj, mi);
+}
+
+}  // namespace detail
+
+/// Recursive trsm: solve with the half of op(A) that comes first in the
+/// substitution order, fold the solution into the other half's right-hand
+/// sides with one GEMM (whose beta applies alpha to that half), then solve
+/// with the other half at alpha = 1. Base case: trsm_naive.
+template <typename T>
+void trsm_recursive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
+                    Tile<T> const& A, Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
-    int const na = (side == Side::Left) ? m : n;
+    bool const left = (side == Side::Left);
+    int const na = left ? m : n;
     tbp_require(A.mb() == na && A.nb() == na);
-    constexpr int BS = kernel::kL3Block;
-    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
-
-    // Same alpha convention as the naive kernel: applied once up front,
-    // alpha == 0 stores zeros unconditionally.
-    kernel::scale_beta(alpha, B);
-    if (na == 0 || m == 0 || n == 0)
+    if (na <= kernel::kTriBase) {
+        trsm_naive(side, uplo, op, diag, alpha, A, B);
         return;
-    int const last = (na - 1) / BS * BS;  // first index of the last block
-
-    if (side == Side::Left) {
-        if (!eff_upper) {
-            for (int k0 = 0; k0 < m; k0 += BS) {
-                int const bs = std::min(BS, m - k0);
-                trsm_naive(Side::Left, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(k0, 0, bs, n));
-                int const mrest = m - k0 - bs;
-                if (mrest > 0) {
-                    auto Ak = (op == Op::NoTrans)
-                                  ? A.sub(k0 + bs, k0, mrest, bs)
-                                  : A.sub(k0, k0 + bs, bs, mrest);
-                    gemm_dispatch(op, Op::NoTrans, T(-1), Ak,
-                                  B.sub(k0, 0, bs, n), T(1),
-                                  B.sub(k0 + bs, 0, mrest, n));
-                }
-            }
-        } else {
-            for (int k0 = last; k0 >= 0; k0 -= BS) {
-                int const bs = std::min(BS, m - k0);
-                trsm_naive(Side::Left, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(k0, 0, bs, n));
-                if (k0 > 0) {
-                    auto Ak = (op == Op::NoTrans) ? A.sub(0, k0, k0, bs)
-                                                  : A.sub(k0, 0, bs, k0);
-                    gemm_dispatch(op, Op::NoTrans, T(-1), Ak,
-                                  B.sub(k0, 0, bs, n), T(1),
-                                  B.sub(0, 0, k0, n));
-                }
-            }
-        }
-    } else {
-        if (eff_upper) {
-            for (int k0 = 0; k0 < n; k0 += BS) {
-                int const bs = std::min(BS, n - k0);
-                trsm_naive(Side::Right, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(0, k0, m, bs));
-                int const nrest = n - k0 - bs;
-                if (nrest > 0) {
-                    auto Ak = (op == Op::NoTrans)
-                                  ? A.sub(k0, k0 + bs, bs, nrest)
-                                  : A.sub(k0 + bs, k0, nrest, bs);
-                    gemm_dispatch(Op::NoTrans, op, T(-1),
-                                  B.sub(0, k0, m, bs), Ak, T(1),
-                                  B.sub(0, k0 + bs, m, nrest));
-                }
-            }
-        } else {
-            for (int k0 = last; k0 >= 0; k0 -= BS) {
-                int const bs = std::min(BS, n - k0);
-                trsm_naive(Side::Right, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(0, k0, m, bs));
-                if (k0 > 0) {
-                    auto Ak = (op == Op::NoTrans) ? A.sub(k0, 0, bs, k0)
-                                                  : A.sub(0, k0, k0, bs);
-                    gemm_dispatch(Op::NoTrans, op, T(-1),
-                                  B.sub(0, k0, m, bs), Ak, T(1),
-                                  B.sub(0, 0, m, k0));
-                }
-            }
-        }
     }
+
+    // The leading half goes first for an effectively lower op(A) on the
+    // left and an effectively upper one on the right: [f0, f0 + fn) is
+    // solved first, [s0, s0 + sn) second.
+    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+    bool const leading_first = left != eff_upper;
+    int const n1 = na / 2;
+    int const f0 = leading_first ? 0 : n1, fn = leading_first ? n1 : na - n1;
+    int const s0 = leading_first ? n1 : 0, sn = na - fn;
+    auto rhs = [&](int i0, int in) {
+        return left ? B.sub(i0, 0, in, n) : B.sub(0, i0, m, in);
+    };
+
+    trsm_recursive(side, uplo, op, diag, alpha, A.sub(f0, f0, fn, fn),
+                   rhs(f0, fn));
+    if (left)
+        gemm_dispatch(op, Op::NoTrans, T(-1),
+                      detail::op_sub(op, A, s0, f0, sn, fn), rhs(f0, fn),
+                      alpha, rhs(s0, sn));
+    else
+        gemm_dispatch(Op::NoTrans, op, T(-1), rhs(f0, fn),
+                      detail::op_sub(op, A, f0, s0, fn, sn), alpha,
+                      rhs(s0, sn));
+    trsm_recursive(side, uplo, op, diag, T(1), A.sub(s0, s0, sn, sn),
+                   rhs(s0, sn));
 }
 
 template <typename T>
@@ -280,11 +269,10 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
           Tile<T> const& A, Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
-    int const na = (side == Side::Left) ? m : n;
-    if (kernel::use_naive() || na <= kernel::kL3Block)
+    if (kernel::use_naive())
         trsm_naive(side, uplo, op, diag, alpha, A, B);
     else
-        trsm_blocked(side, uplo, op, diag, alpha, A, B);
+        trsm_recursive(side, uplo, op, diag, alpha, A, B);
     kernel::count_flops((side == Side::Left ? flops::trsm_left(m, n)
                                             : flops::trsm_right(m, n))
                         * (fma_flops<T>() / 2.0),
@@ -326,49 +314,35 @@ void trmm_naive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
     }
 }
 
-/// Blocked trmm: each block row of B is multiplied by the naive kernel on
-/// the diagonal block, then receives the off-diagonal contribution as a
-/// GEMM panel against the not-yet-overwritten block rows (top-down for
-/// effectively-upper op(A), bottom-up otherwise).
+/// Recursive trmm: the half of B whose product reads the other half goes
+/// first (trmm on its diagonal block, then one GEMM against the
+/// not-yet-overwritten other half), then the other half. Base case:
+/// trmm_naive.
 template <typename T>
-void trmm_blocked(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-                  Tile<T> const& B) {
+void trmm_recursive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
+                    Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
     tbp_require(A.mb() == m && A.nb() == m);
-    constexpr int BS = kernel::kL3Block;
-    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
-    if (m == 0 || n == 0)
+    if (m <= kernel::kTriBase) {
+        trmm_naive(uplo, op, diag, alpha, A, B);
         return;
-    int const last = (m - 1) / BS * BS;
-
-    if (eff_upper) {
-        for (int i0 = 0; i0 < m; i0 += BS) {
-            int const bs = std::min(BS, m - i0);
-            trmm_naive(uplo, op, diag, alpha, A.sub(i0, i0, bs, bs),
-                       B.sub(i0, 0, bs, n));
-            int const mrest = m - i0 - bs;
-            if (mrest > 0) {
-                auto Ak = (op == Op::NoTrans) ? A.sub(i0, i0 + bs, bs, mrest)
-                                              : A.sub(i0 + bs, i0, mrest, bs);
-                gemm_dispatch(op, Op::NoTrans, alpha, Ak,
-                              B.sub(i0 + bs, 0, mrest, n), T(1),
-                              B.sub(i0, 0, bs, n));
-            }
-        }
-    } else {
-        for (int i0 = last; i0 >= 0; i0 -= BS) {
-            int const bs = std::min(BS, m - i0);
-            trmm_naive(uplo, op, diag, alpha, A.sub(i0, i0, bs, bs),
-                       B.sub(i0, 0, bs, n));
-            if (i0 > 0) {
-                auto Ak = (op == Op::NoTrans) ? A.sub(i0, 0, bs, i0)
-                                              : A.sub(0, i0, i0, bs);
-                gemm_dispatch(op, Op::NoTrans, alpha, Ak, B.sub(0, 0, i0, n),
-                              T(1), B.sub(i0, 0, bs, n));
-            }
-        }
     }
+
+    // An effectively upper op(A) makes the top rows read the bottom ones:
+    // rows [f0, f0 + fn) go first, [s0, s0 + sn) second.
+    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+    int const n1 = m / 2;
+    int const f0 = eff_upper ? 0 : n1, fn = eff_upper ? n1 : m - n1;
+    int const s0 = eff_upper ? n1 : 0, sn = m - fn;
+
+    trmm_recursive(uplo, op, diag, alpha, A.sub(f0, f0, fn, fn),
+                   B.sub(f0, 0, fn, n));
+    gemm_dispatch(op, Op::NoTrans, alpha,
+                  detail::op_sub(op, A, f0, s0, fn, sn), B.sub(s0, 0, sn, n),
+                  T(1), B.sub(f0, 0, fn, n));
+    trmm_recursive(uplo, op, diag, alpha, A.sub(s0, s0, sn, sn),
+                   B.sub(s0, 0, sn, n));
 }
 
 /// Path selection without flop accounting (for composite kernels that
@@ -376,10 +350,10 @@ void trmm_blocked(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
 template <typename T>
 void trmm_dispatch(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
                    Tile<T> const& B) {
-    if (kernel::use_naive() || B.mb() <= kernel::kL3Block)
+    if (kernel::use_naive())
         trmm_naive(uplo, op, diag, alpha, A, B);
     else
-        trmm_blocked(uplo, op, diag, alpha, A, B);
+        trmm_recursive(uplo, op, diag, alpha, A, B);
 }
 
 template <typename T>

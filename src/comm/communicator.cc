@@ -262,7 +262,7 @@ void Communicator::wait_posted_fault(
                     std::min(slice, deadline - now)),
             [&] {
                 progress_locked();
-                return op->done;
+                return op->done.load();
             });
         if (completed)
             return;
@@ -294,7 +294,7 @@ void Communicator::wait_posted(std::shared_ptr<detail::RecvOp> const& op) {
             } else {
                 s_->cv.wait(lk, [&] {
                     progress_locked();
-                    return op->done;
+                    return op->done.load();
                 });
             }
             stats_.wait_seconds += t.elapsed();

@@ -41,6 +41,7 @@
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -105,7 +106,9 @@ struct RecvOp {
     std::byte* data = nullptr;              // fixed-size destination
     std::size_t bytes = 0;                  // expected payload (fixed mode)
     std::vector<std::byte>* dyn = nullptr;  // dynamic mode: takes the payload
-    bool done = false;
+    // Set under the shared mutex, after `data`/`error` are final; read
+    // without it by the fast paths of wait/test/done, so atomic.
+    std::atomic<bool> done{false};
     // Set instead of `data` when the operation failed (size mismatch,
     // timeout, dead sender): done is still true so waiters unblock, and
     // wait/test rethrow the dimensioned CommError to the caller.

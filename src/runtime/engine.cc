@@ -387,7 +387,9 @@ void Engine::wait() {
     if (mode_ != Mode::Sequential) {
         std::unique_lock<std::mutex> lk(queue_mtx_);
         idle_cv_.wait(lk, [&] {
-            return outstanding_.load(std::memory_order_relaxed) == 0;
+            // Acquire pairs with the workers' acq_rel fetch_sub: the
+            // teardown below must happen after every task body.
+            return outstanding_.load(std::memory_order_acquire) == 0;
         });
     }
     // Fresh dependency epoch; tasks are retired.

@@ -5,8 +5,11 @@
 // inputs: gemm across all op combinations, odd/fringe sizes (deliberately
 // not multiples of any MR/NR/MC/KC), strided sub-views with ld > mb, and the
 // alpha/beta corner cases including the beta == 0 store-zeros convention.
-// herk/trsm/trmm run blocked-vs-naive above the kL3Block crossover, and the
-// level-3 Householder appliers run against their element-loop references.
+// herk/trsm/trmm and the Householder appliers run their public entries
+// against the *_naive oracles over a sweep of tile sizes around the
+// recursion's base case (kTriBase = 16) and the production tiles 64 and 192,
+// on strided sub-views; geqrt/tsqrt/ttqrt must store T with an exactly zero
+// strict lower triangle, which the appliers' dense op(T) GEMM relies on.
 
 #include <gtest/gtest.h>
 
@@ -57,6 +60,51 @@ void check_gemm_paths(Op opA, Op opB, int m, int n, int k, T alpha, T beta) {
               path_tol<T>(k) * (1 + ref::norm_fro(Cref)))
         << "opA=" << static_cast<int>(opA) << " opB=" << static_cast<int>(opB)
         << " m=" << m << " n=" << n << " k=" << k;
+}
+
+/// Tile sizes of the public-entry sweeps: the triangular base case and its
+/// neighbours, odd recursion splits, and the production tiles 64 and 192.
+constexpr int kSweep[] = {16, 17, 32, 63, 64, 65, 128, 192};
+
+/// An m-by-n operand stored as an interior window of a larger random buffer
+/// (ld > mb, nonzero offsets), plus an identical copy for the naive oracle.
+template <typename T>
+struct Framed {
+    static constexpr int kPad = 3;
+    int m, n;
+    ref::Dense<T> buf, orc;
+    Framed(int m_, int n_, std::uint64_t seed)
+        : m(m_), n(n_),
+          buf(ref::random_dense<T>(m_ + 2 * kPad + 1, n_ + 2 * kPad, seed)),
+          orc(buf) {}
+    Tile<T> tile() { return as_tile(buf).sub(kPad, kPad, m, n); }
+    Tile<T> oracle() { return as_tile(orc).sub(kPad, kPad, m, n); }
+};
+
+/// The window agrees with the oracle's to path_tol<T>(depth), relative to
+/// its norm, and the frame around it is bitwise untouched.
+template <typename T>
+::testing::AssertionResult framed_close(Framed<T> const& F, int depth) {
+    using R = real_t<T>;
+    int const P = Framed<T>::kPad;
+    R d2(0), r2(0);
+    for (std::int64_t j = 0; j < F.buf.n(); ++j)
+        for (std::int64_t i = 0; i < F.buf.m(); ++i) {
+            bool const inside =
+                i >= P && i < P + F.m && j >= P && j < P + F.n;
+            if (inside) {
+                d2 += abs_sq(F.buf(i, j) - F.orc(i, j));
+                r2 += abs_sq(F.orc(i, j));
+            } else if (!(F.buf(i, j) == F.orc(i, j))) {
+                return ::testing::AssertionFailure()
+                       << "frame touched at (" << i << "," << j << ")";
+            }
+        }
+    R const d = std::sqrt(d2);
+    R const bound = path_tol<T>(depth) * (1 + std::sqrt(r2));
+    if (d <= bound)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << "diff " << d << " > " << bound;
 }
 
 }  // namespace
@@ -177,76 +225,6 @@ TYPED_TEST(BlasKernel, GemmBetaZeroClearsNaN) {
             ASSERT_TRUE(std::isfinite(std::abs(C(i, j))));
 }
 
-TYPED_TEST(BlasKernel, HerkBlockedMatchesNaive) {
-    using T = TypeParam;
-    using R = real_t<T>;
-    int const n = 100, k = 37;  // n > kL3Block so the public entry blocks
-    R const alpha = R(0.5), beta = R(-1.5);
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-        for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-            auto A = (op == Op::NoTrans) ? ref::random_dense<T>(n, k, 21)
-                                         : ref::random_dense<T>(k, n, 21);
-            auto C = ref::random_dense<T>(n, n, 31);
-            auto Cref = C;
-            blas::herk_naive(uplo, op, alpha, as_tile(A), beta,
-                             as_tile(Cref));
-            blas::herk_blocked(uplo, op, alpha, as_tile(A), beta, as_tile(C));
-            EXPECT_LE(ref::diff_fro(C, Cref),
-                      path_tol<T>(k) * (1 + ref::norm_fro(Cref)))
-                << "uplo=" << static_cast<int>(uplo)
-                << " op=" << static_cast<int>(op);
-        }
-}
-
-TYPED_TEST(BlasKernel, TrsmBlockedMatchesNaive) {
-    using T = TypeParam;
-    int const m = 96, n = 70;  // both > kL3Block in the triangular dimension
-    T const alpha = from_real<T>(real_t<T>(2.0));
-    for (Side side : {Side::Left, Side::Right})
-        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-            for (Op op : {Op::NoTrans, Op::ConjTrans})
-                for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-                    int const na = (side == Side::Left) ? m : n;
-                    auto A = ref::random_dense<T>(na, na, 51);
-                    for (int i = 0; i < na; ++i)  // well-conditioned solve
-                        A(i, i) = A(i, i) + from_real<T>(real_t<T>(4));
-                    auto B = ref::random_dense<T>(m, n, 61);
-                    auto Bref = B;
-                    blas::trsm_naive(side, uplo, op, diag, alpha, as_tile(A),
-                                     as_tile(Bref));
-                    blas::trsm_blocked(side, uplo, op, diag, alpha,
-                                       as_tile(A), as_tile(B));
-                    EXPECT_LE(ref::diff_fro(B, Bref),
-                              path_tol<T>(na) * (1 + ref::norm_fro(Bref)))
-                        << "side=" << static_cast<int>(side)
-                        << " uplo=" << static_cast<int>(uplo)
-                        << " op=" << static_cast<int>(op)
-                        << " diag=" << static_cast<int>(diag);
-                }
-}
-
-TYPED_TEST(BlasKernel, TrmmBlockedMatchesNaive) {
-    using T = TypeParam;
-    int const m = 96, n = 58;
-    T const alpha = from_real<T>(real_t<T>(-0.75));
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-        for (Op op : {Op::NoTrans, Op::ConjTrans})
-            for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-                auto A = ref::random_dense<T>(m, m, 71);
-                auto B = ref::random_dense<T>(m, n, 81);
-                auto Bref = B;
-                blas::trmm_naive(uplo, op, diag, alpha, as_tile(A),
-                                 as_tile(Bref));
-                blas::trmm_blocked(uplo, op, diag, alpha, as_tile(A),
-                                   as_tile(B));
-                EXPECT_LE(ref::diff_fro(B, Bref),
-                          path_tol<T>(m) * (1 + ref::norm_fro(Bref)))
-                    << "uplo=" << static_cast<int>(uplo)
-                    << " op=" << static_cast<int>(op)
-                    << " diag=" << static_cast<int>(diag);
-            }
-}
-
 TYPED_TEST(BlasKernel, UnmqrLevel3MatchesNaive) {
     using T = TypeParam;
     int const mb = 96, nb = 32, nn = 40;
@@ -311,4 +289,224 @@ TYPED_TEST(BlasKernel, PublicGemmRoutesAndCounts) {
     EXPECT_LE(ref::diff_fro(C, Cref),
               path_tol<T>(k) * (1 + ref::norm_fro(Cref)));
     EXPECT_DOUBLE_EQ(df, flops::gemm(m, n, k) * (fma_flops<T>() / 2.0));
+}
+
+TYPED_TEST(BlasKernel, HerkMatchesNaiveSweep) {
+    using T = TypeParam;
+    using R = real_t<T>;
+    R const alpha = R(0.5), beta = R(-1.5);
+    for (int n : kSweep)
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+            for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+                int const k = n + 3;
+                Framed<T> A(op == Op::NoTrans ? n : k,
+                            op == Op::NoTrans ? k : n, 21 + n);
+                Framed<T> C(n, n, 31 + n);
+                blas::herk_naive(uplo, op, alpha, A.tile(), beta, C.oracle());
+                blas::herk(uplo, op, alpha, A.tile(), beta, C.tile());
+                EXPECT_TRUE(framed_close(C, k))
+                    << "n=" << n << " uplo=" << static_cast<int>(uplo)
+                    << " op=" << static_cast<int>(op);
+            }
+}
+
+TYPED_TEST(BlasKernel, TrsmMatchesNaiveSweep) {
+    using T = TypeParam;
+    T const alpha = from_real<T>(real_t<T>(2.0));
+    for (int n : kSweep)
+        for (Side side : {Side::Left, Side::Right})
+            for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+                for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                    for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                        // Off-diagonal entries O(1/n) and a shifted diagonal
+                        // keep both the unit and non-unit solves well
+                        // conditioned at every size.
+                        Framed<T> A(n, n, 51 + n);
+                        auto At = A.tile();
+                        for (int j = 0; j < n; ++j)
+                            for (int i = 0; i < n; ++i)
+                                At(i, j) *= from_real<T>(real_t<T>(1) / n);
+                        for (int i = 0; i < n; ++i)
+                            At(i, i) += T(1);
+                        // The recursion splits only the triangular
+                        // dimension; the other one stays a fringe size.
+                        int const other = std::min(n, 64) - 5;
+                        int const m = (side == Side::Left) ? n : other;
+                        int const nrhs = (side == Side::Left) ? other : n;
+                        Framed<T> B(m, nrhs, 61 + n);
+                        blas::trsm_naive(side, uplo, op, diag, alpha, At,
+                                         B.oracle());
+                        blas::trsm(side, uplo, op, diag, alpha, At, B.tile());
+                        EXPECT_TRUE(framed_close(B, n))
+                            << "n=" << n
+                            << " side=" << static_cast<int>(side)
+                            << " uplo=" << static_cast<int>(uplo)
+                            << " op=" << static_cast<int>(op)
+                            << " diag=" << static_cast<int>(diag);
+                    }
+}
+
+TYPED_TEST(BlasKernel, TrmmMatchesNaiveSweep) {
+    using T = TypeParam;
+    T const alpha = from_real<T>(real_t<T>(-0.75));
+    for (int n : kSweep)
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+            for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                    Framed<T> A(n, n, 71 + n);
+                    Framed<T> B(n, std::min(n, 64) + 2, 81 + n);
+                    blas::trmm_naive(uplo, op, diag, alpha, A.tile(),
+                                     B.oracle());
+                    blas::trmm(uplo, op, diag, alpha, A.tile(), B.tile());
+                    EXPECT_TRUE(framed_close(B, n))
+                        << "n=" << n << " uplo=" << static_cast<int>(uplo)
+                        << " op=" << static_cast<int>(op)
+                        << " diag=" << static_cast<int>(diag);
+                }
+}
+
+TYPED_TEST(BlasKernel, UnmqrMatchesNaiveSweep) {
+    using T = TypeParam;
+    for (int n : kSweep) {
+        Framed<T> V(n, n, 91 + n), Tf(n, n, 92 + n);
+        blas::geqrt(V.tile(), Tf.tile());
+        for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+            Framed<T> C(n, n, 93 + n);
+            blas::unmqr_naive(op, V.tile(), Tf.tile(), C.oracle());
+            blas::unmqr(op, V.tile(), Tf.tile(), C.tile());
+            EXPECT_TRUE(framed_close(C, n))
+                << "n=" << n << " op=" << static_cast<int>(op);
+        }
+    }
+}
+
+TYPED_TEST(BlasKernel, TsmqrMatchesNaiveSweep) {
+    using T = TypeParam;
+    for (int n : kSweep) {
+        Framed<T> A1(n, n, 94 + n), A2(n, n, 95 + n), Tf(n, n, 96 + n);
+        blas::tsqrt(A1.tile(), A2.tile(), Tf.tile());
+        for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+            Framed<T> C1(n, n, 97 + n), C2(n, n, 98 + n);
+            blas::tsmqr_naive(op, A2.tile(), Tf.tile(), C1.oracle(),
+                              C2.oracle());
+            blas::tsmqr(op, A2.tile(), Tf.tile(), C1.tile(), C2.tile());
+            EXPECT_TRUE(framed_close(C1, 2 * n))
+                << "C1 n=" << n << " op=" << static_cast<int>(op);
+            EXPECT_TRUE(framed_close(C2, 2 * n))
+                << "C2 n=" << n << " op=" << static_cast<int>(op);
+        }
+    }
+}
+
+TYPED_TEST(BlasKernel, TtmqrMatchesNaiveSweep) {
+    using T = TypeParam;
+    for (int n : kSweep) {
+        Framed<T> A1(n, n, 101 + n), A2(n, n, 102 + n), Tf(n, n, 103 + n);
+        blas::ttqrt(A1.tile(), A2.tile(), Tf.tile());
+        for (Op op : {Op::NoTrans, Op::ConjTrans})
+            for (bool c2_zero : {false, true}) {
+                Framed<T> C1(n, n, 104 + n), C2(n, n, 105 + n);
+                blas::ttmqr_naive(op, A2.tile(), Tf.tile(), C1.oracle(),
+                                  C2.oracle(), c2_zero);
+                blas::ttmqr(op, A2.tile(), Tf.tile(), C1.tile(), C2.tile(),
+                            c2_zero);
+                EXPECT_TRUE(framed_close(C1, 2 * n))
+                    << "C1 n=" << n << " op=" << static_cast<int>(op)
+                    << " c2_zero=" << c2_zero;
+                EXPECT_TRUE(framed_close(C2, 2 * n))
+                    << "C2 n=" << n << " op=" << static_cast<int>(op)
+                    << " c2_zero=" << c2_zero;
+            }
+    }
+}
+
+namespace {
+
+/// Tf's leading k columns: strict lower triangle exactly zero, the rest
+/// finite (Tf was NaN-filled before the factorization wrote it).
+template <typename T>
+::testing::AssertionResult tfactor_clean(ref::Dense<T> const& Tf, int k) {
+    for (int j = 0; j < k; ++j)
+        for (int i = 0; i < Tf.m(); ++i) {
+            bool const ok = (i > j) ? Tf(i, j) == T(0)
+                                    : std::isfinite(std::abs(Tf(i, j)));
+            if (!ok)
+                return ::testing::AssertionFailure()
+                       << "Tf(" << i << "," << j << ") = " << Tf(i, j);
+        }
+    return ::testing::AssertionSuccess();
+}
+
+template <typename T>
+ref::Dense<T> nan_dense(int m, int n) {
+    ref::Dense<T> D(m, n);
+    auto const qnan = std::numeric_limits<real_t<T>>::quiet_NaN();
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < m; ++i)
+            D(i, j) = from_real<T>(qnan);
+    return D;
+}
+
+/// Make column c of the stacked pair [A1; A2] an identity-like column:
+/// A1(0:c, c) = 0, A1(c, c) real and A2's column zero, so the reflectors
+/// before it leave it alone and its own reflector has tau == 0.
+template <typename T>
+void identity_column(ref::Dense<T>& A1, ref::Dense<T>& A2, int c) {
+    for (int i = 0; i < c; ++i)
+        A1(i, c) = T(0);
+    A1(c, c) = from_real<T>(real_part(A1(c, c)));
+    for (int i = 0; i < A2.m(); ++i)
+        A2(i, c) = T(0);
+}
+
+}  // namespace
+
+TYPED_TEST(BlasKernel, TFactorStrictLowerIsZero) {
+    using T = TypeParam;
+    // {rows, cols, zero column or -1}: mb < nb, ragged tall and wide tiles,
+    // and tau == 0 columns at the first, a middle and the last reflector.
+    struct Shape {
+        int mb, nb, zero_col;
+    };
+    for (Shape sh : {Shape{8, 12, -1}, Shape{17, 13, -1}, Shape{13, 17, 4},
+                     Shape{64, 64, 0}, Shape{64, 64, 7}, Shape{17, 17, 16}}) {
+        int const k = std::min(sh.mb, sh.nb);
+        auto A = ref::random_dense<T>(sh.mb, sh.nb, 111 + sh.mb);
+        if (sh.zero_col >= 0)
+            for (int i = 0; i < sh.mb; ++i)
+                A(i, sh.zero_col) = T(0);
+        auto Tf = nan_dense<T>(sh.nb + 2, sh.nb);
+        blas::geqrt(as_tile(A), as_tile(Tf));
+        EXPECT_TRUE(tfactor_clean(Tf, k)) << "geqrt " << sh.mb << "x" << sh.nb;
+        if (sh.zero_col >= 0) {
+            EXPECT_EQ(Tf(sh.zero_col, sh.zero_col), T(0));
+        }
+    }
+
+    // {n, m2, A1 rows, zero column}: tsqrt takes any m2, ttqrt m2 <= n.
+    struct Pair {
+        int n, m2, a1mb, zero_col;
+    };
+    for (Pair p : {Pair{12, 5, 12, -1}, Pair{13, 17, 16, 0},
+                   Pair{64, 64, 64, 7}, Pair{17, 17, 17, 16},
+                   Pair{17, 9, 19, 3}}) {
+        for (bool tt : {false, true}) {
+            if (tt && p.m2 > p.n)
+                continue;
+            auto A1 = ref::random_dense<T>(p.a1mb, p.n, 121 + p.n);
+            auto A2 = ref::random_dense<T>(p.m2, p.n, 122 + p.m2);
+            if (p.zero_col >= 0)
+                identity_column(A1, A2, p.zero_col);
+            auto Tf = nan_dense<T>(p.n + 2, p.n);
+            if (tt)
+                blas::ttqrt(as_tile(A1), as_tile(A2), as_tile(Tf));
+            else
+                blas::tsqrt(as_tile(A1), as_tile(A2), as_tile(Tf));
+            EXPECT_TRUE(tfactor_clean(Tf, p.n))
+                << (tt ? "ttqrt " : "tsqrt ") << p.n << " over " << p.m2;
+            if (p.zero_col >= 0) {
+                EXPECT_EQ(Tf(p.zero_col, p.zero_col), T(0));
+            }
+        }
+    }
 }
