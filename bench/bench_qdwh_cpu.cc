@@ -15,7 +15,6 @@
 #include "common/timer.hh"
 #include "core/baselines.hh"
 #include "core/qdwh.hh"
-#include "device/executor.hh"
 #include "gen/matgen.hh"
 #include "linalg/geqrf.hh"
 #include "linalg/potrf.hh"
@@ -57,7 +56,6 @@ void BM_Qdwh(benchmark::State& state) {
     int const nb = 32;
     rt::Mode const mode = mode_of(static_cast<int>(state.range(1)));
     bool const structured = state.range(2) != 0;
-    bool const batched = state.range(3) != 0;
     rt::Engine eng(threads(), mode);
     gen::MatGenOptions opt;
     opt.cond = 1e8;
@@ -65,14 +63,10 @@ void BM_Qdwh(benchmark::State& state) {
     auto A0 = gen::cond_matrix<double>(eng, n, n, nb, opt);
     QdwhOptions qopt;
     qopt.structured_qr = structured;
-    if (batched)
-        qopt.target = dev::Target::BatchedHost;
 
     double flops = 0;
     double kernel_flops = 0, solve_secs = 0;
     int it_qr = 0, it_chol = 0;
-    std::uint64_t tile_ops = 0, engine_tasks = 0;
-    double coalescing = 1.0;
     for (auto _ : state) {
         state.PauseTiming();
         auto A = A0.clone();
@@ -86,9 +80,6 @@ void BM_Qdwh(benchmark::State& state) {
         flops = info.flops;
         it_qr = info.it_qr;
         it_chol = info.it_chol;
-        tile_ops = info.tile_ops;
-        engine_tasks = info.engine_tasks;
-        coalescing = info.coalescing;
     }
     state.counters["Gflop/s"] = benchmark::Counter(
         flops * static_cast<double>(state.iterations()) / 1e9,
@@ -96,27 +87,20 @@ void BM_Qdwh(benchmark::State& state) {
     double const achieved =
         solve_secs > 0 ? kernel_flops / solve_secs / 1e9 : 0.0;
     state.counters["kernel_Gflop/s"] = achieved;
-    if (batched)
-        state.counters["coalescing"] = coalescing;
     state.SetLabel(std::string(mode_name(static_cast<int>(state.range(1)))) +
-                   (structured ? "/ttqr" : "/dense") +
-                   (batched ? "/batched" : ""));
+                   (structured ? "/ttqr" : "/dense"));
 
     bench::JsonRecord r;
     r.field("bench", "qdwh")
         .field("n", static_cast<std::int64_t>(n))
         .field("mode", mode_name(static_cast<int>(state.range(1))))
         .field("structured_qr", structured)
-        .field("target", batched ? "batched" : "tasks")
         .field("it_qr", it_qr)
         .field("it_chol", it_chol)
         .field("model_flops", flops)
         .field("kernel_flops", kernel_flops)
         .field("solve_seconds", solve_secs)
-        .field("achieved_gflops", achieved)
-        .field("tile_ops", tile_ops)
-        .field("engine_tasks", engine_tasks)
-        .field("coalescing", coalescing);
+        .field("achieved_gflops", achieved);
     emitter().add(r);
 }
 
@@ -243,13 +227,9 @@ void BM_SvdPolar(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_Qdwh)
-    ->ArgsProduct({{128, 256}, {0, 1, 2}, {0, 1}, {0}})
-    ->Args({512, 1, 0, 0})  // the A/B pair behind the README flop-savings table
-    ->Args({512, 1, 1, 0})
-    // Tasks-vs-batched pairs behind the README batched-executor table.
-    ->Args({128, 1, 1, 1})
-    ->Args({256, 1, 1, 1})
-    ->Args({512, 1, 1, 1})
+    ->ArgsProduct({{128, 256}, {0, 1, 2}, {0, 1}})
+    ->Args({512, 1, 0})  // the A/B pair behind the README flop-savings table
+    ->Args({512, 1, 1})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackedQr)

@@ -18,9 +18,8 @@
 //   bench_throughput [--smoke] [--jobs N] [--json PATH]
 //
 // --smoke runs inside ctest (label "service"): >= 1000 mixed jobs, exits
-// nonzero on any oracle mismatch, unexpected status, a QoS p99 that is
-// not below the FIFO baseline, or default (batched-bulk) throughput below
-// the forced all-tasks baseline. Results land in BENCH_throughput.json.
+// nonzero on any oracle mismatch, unexpected status, or a QoS p99 that is
+// not below the FIFO baseline. Results land in BENCH_throughput.json.
 
 #include <algorithm>
 #include <cmath>
@@ -71,12 +70,10 @@ struct RunOut {
 
 // One full service run: Poisson arrivals at `rate` jobs/sec, every 16th
 // job in the Latency class, verification of every result against the
-// oracle table. `target` overrides each job's execution target (Auto =
-// Bulk jobs batched, Latency per-tile — the service default).
+// oracle table.
 RunOut run_batch(std::vector<SpecCase> const& cases,
                  std::vector<Oracle> const& oracles, int jobs, int threads,
-                 double rate, bool fifo,
-                 svc::JobTarget target = svc::JobTarget::Auto) {
+                 double rate, bool fifo) {
     rt::Engine eng(threads);
     svc::ServiceOptions so;
     so.fifo = fifo;
@@ -91,7 +88,6 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
         auto const d = static_cast<size_t>(i) % cases.size();
         svc::JobSpec s = cases[d].spec;
         s.cls = (i % 16 == 0) ? svc::JobClass::Latency : svc::JobClass::Bulk;
-        s.target = target;
         double const u = arrivals.uniform(static_cast<std::uint64_t>(i));
         t_arr += -std::log1p(-std::min(u, 0.999999)) / rate;
         while (wall_time() - t0 < t_arr)
@@ -220,32 +216,20 @@ int main(int argc, char** argv) {
                 "%.0f jobs/s  jobs %d\n",
                 threads, cases.size(), mean_t * 1e3, rate, jobs);
 
-    // qos/fifo run with the service default target (Auto: Bulk jobs on the
-    // batched executor); the third run forces every job per-tile for the
-    // batched-vs-tasks throughput A/B.
     auto const qos = run_batch(cases, oracles, jobs, threads, rate, false);
     auto const fifo = run_batch(cases, oracles, jobs, threads, rate, true);
-    auto const tasks = run_batch(cases, oracles, jobs, threads, rate, false,
-                                 svc::JobTarget::Tasks);
 
     bench::JsonEmitter out;
     report("qos", qos, out);
     report("fifo", fifo, out);
-    report("tasks", tasks, out);
     double const ratio =
         qos.latency.p99 > 0 ? fifo.latency.p99 / qos.latency.p99 : 0;
     std::printf("latency-class p99: qos %.2fms vs fifo %.2fms (%.1fx)\n",
                 qos.latency.p99 * 1e3, fifo.latency.p99 * 1e3, ratio);
-    double const tput_ratio =
-        tasks.jobs_per_sec > 0 ? qos.jobs_per_sec / tasks.jobs_per_sec : 0;
-    std::printf("throughput: batched-bulk %.0f jobs/s vs all-tasks %.0f "
-                "jobs/s (%.2fx)\n",
-                qos.jobs_per_sec, tasks.jobs_per_sec, tput_ratio);
     {
         bench::JsonRecord rec;
         rec.field("bench", "throughput").field("sched", "ab");
         rec.field("fifo_over_qos_latency_p99", ratio);
-        rec.field("batched_over_tasks_jobs_per_sec", tput_ratio);
         out.add(rec);
     }
     out.write(json_path);
@@ -262,20 +246,10 @@ int main(int argc, char** argv) {
         };
         check(qos.mismatches == 0, "qos run had oracle/status mismatches");
         check(fifo.mismatches == 0, "fifo run had oracle/status mismatches");
-        check(tasks.mismatches == 0,
-              "all-tasks run had oracle/status mismatches");
         check(qos.expected_failures >= expect_fail_per_pass,
               "deliberate failures missing from the qos run");
         check(qos.latency.p99 < fifo.latency.p99,
               "QoS latency-class p99 not below the FIFO baseline");
-        // Batched routing must never cost throughput: resolve_target keeps
-        // jobs under kBatchedMinTiles on plain tasks (too few same-shape
-        // ops to amortize the collector there — measured 0.74-0.88x when
-        // such jobs were routed through the executor), so the default Auto
-        // mix, which batches only the >= 9-tile jobs, has to match or beat
-        // the forced all-tasks run. 3% slack absorbs wall-clock jitter only.
-        check(tput_ratio >= 0.97,
-              "batched-bulk throughput fell below the all-tasks baseline");
         std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
         return ok ? 0 : 1;
     }

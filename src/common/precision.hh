@@ -6,7 +6,7 @@
 // Two thread-local slots exist:
 //   * ambient_gemm_mode — set by the algorithm layer (RAII ScopedGemmMode)
 //     around task *submission*; the runtime engine captures it into each
-//     Task so batched/stolen execution keeps the tag.
+//     Task so stolen execution keeps the tag.
 //   * exec_gemm_mode — set by the engine worker (RAII ExecModeScope) around
 //     the task body; the BLAS kernel layer reads it to decide whether a
 //     float gemm truncates its packed operands to bf16, and the flop

@@ -102,8 +102,8 @@ real_t<T> norm1est(std::int64_t n,
 /// 1-norm of the upper-triangular R stored in the top square of a
 /// geqrf-factored matrix (entries below the diagonal are reflector data and
 /// must be ignored).
-template <typename Ex, typename T>
-real_t<T> tr_norm1(Ex& eng, TiledMatrix<T> R_) {
+template <typename T>
+real_t<T> tr_norm1(rt::Engine& eng, TiledMatrix<T> R_) {
     using R = real_t<T>;
     eng.wait();  // serial pass over upper triangle; R_ must be quiescent
     int const nt = R_.nt();
@@ -149,8 +149,8 @@ void tiled_to_vec(TiledMatrix<T> const& X, std::vector<T>& v) {
 /// Returns 0 if R is exactly singular (zero diagonal). The R block is
 /// extracted into a square-tiled scratch copy so that edge tiles conform
 /// for the triangular solves even when m % nb != 0.
-template <typename Ex, typename T>
-real_t<T> trcondest(Ex& eng, TiledMatrix<T> Rfac) {
+template <typename T>
+real_t<T> trcondest(rt::Engine& eng, TiledMatrix<T> Rfac) {
     using RT = real_t<T>;
     eng.wait();  // Rfac must be quiescent for the serial extraction
     std::int64_t const n = Rfac.n();

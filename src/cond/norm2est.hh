@@ -25,8 +25,8 @@ struct Norm2estOptions {
 };
 
 /// Estimate ||A||_2 (largest singular value). Returns 0 for a zero matrix.
-template <typename Ex, typename T>
-real_t<T> norm2est(Ex& eng, TiledMatrix<T> A,
+template <typename T>
+real_t<T> norm2est(rt::Engine& eng, TiledMatrix<T> A,
                    Norm2estOptions const& opt = {}) {
     using R = real_t<T>;
 

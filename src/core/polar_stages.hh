@@ -74,8 +74,8 @@ struct ScaledInput {
 /// blocks, which the first iteration reinitializes anyway. A zero matrix
 /// returns alpha = 0 with A untouched. l0 is returned unclamped: each
 /// solver clamps it into its own interval.
-template <typename Ex, typename T>
-ScaledInput<T> scale_and_condest(Ex& eng, TiledMatrix<T>& A,
+template <typename T>
+ScaledInput<T> scale_and_condest(rt::Engine& eng, TiledMatrix<T>& A,
                                  QdwhWorkspace<T>& ws, double condest_override,
                                  int lookahead) {
     using R = real_t<T>;
@@ -99,8 +99,8 @@ ScaledInput<T> scale_and_condest(Ex& eng, TiledMatrix<T>& A,
 }
 
 /// H = U_p^H A0 (+ optional Hermitian symmetrization), Algorithm 1 line 52.
-template <typename Ex, typename T>
-void polar_h_stage(Ex& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
+template <typename T>
+void polar_h_stage(rt::Engine& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
                    TiledMatrix<T>& H, bool symmetrize) {
     la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), U, Acpy, T(0), H);
     if (symmetrize) {

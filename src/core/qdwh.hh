@@ -44,7 +44,7 @@
 // The l recurrence runs in double (prec::qdwh_weights — the same pure
 // function the plan, the distributed driver and the cost model use), so the
 // executed schedule is deterministic at fixed inputs and identical across
-// execution targets and process grids.
+// engine modes and process grids.
 //
 // Fallback: a low-precision Cholesky iteration whose operand loses
 // numerical positive definiteness throws from potrf; the error surfaces at
@@ -74,7 +74,6 @@
 #include "common/types.hh"
 #include "core/polar_stages.hh"
 #include "core/precision_policy.hh"
-#include "device/executor.hh"
 #include "linalg/gemm.hh"
 #include "linalg/geqrf.hh"
 #include "linalg/potrf.hh"
@@ -100,28 +99,16 @@ struct QdwhOptions {
     /// gemm, ~35% fewer QR-iteration flops at m = n). Off selects the dense
     /// oracle path, which factors W with no structural assumptions.
     bool structured_qr = true;
-    /// Execution target: per-tile engine tasks (the oracle) or the batched
-    /// device executor, which coalesces same-shape tile ops into batched
-    /// engine tasks (SLATE's Target::Devices analogue; bitwise-identical
-    /// results, 5-30x fewer scheduler tasks).
-    dev::Target target = dev::Target::Tasks;
     /// Panel lookahead depth of the QR/Cholesky iterates (geqrf/potrf):
     /// updates into the next `lookahead` panel columns ride the priority
     /// lane so those panels unblock early. 0 = plain dataflow schedule.
     int lookahead = 0;
-    /// Largest batch the executor may coalesce (BatchedHost only).
-    int max_batch = 32;
     /// Precision-ladder policy (core/precision_policy.hh). Native (and
     /// Double) plan every iteration on the matrix's own type; Float/Bf16/
     /// Adaptive plan admissible iterations on lower rungs with a native tail
     /// and native H, promoting a failed low-precision Cholesky iterate one
     /// rung up instead of aborting. Every request runs the same loop.
     prec::PrecisionPolicy precision;
-    /// Model device staging streams in the batched executor (BatchedHost
-    /// only). The service layer turns this off: its jobs run on private
-    /// sequential engines where stream modeling is pure bookkeeping
-    /// overhead on small matrices.
-    bool model_streams = true;
 };
 
 struct QdwhInfo {
@@ -134,14 +121,6 @@ struct QdwhInfo {
     double conv = 0;            ///< final ||A_k - A_{k-1}||_F
     double flops = 0;           ///< flops executed by this call (measured)
     std::vector<double> li_history;  ///< L_k after each parameter update
-
-    // Batched-executor accounting (meaningful when opts.target ==
-    // dev::Target::BatchedHost; defaults describe the per-tile path).
-    std::uint64_t tile_ops = 0;      ///< tile ops routed via the executor
-    std::uint64_t engine_tasks = 0;  ///< engine tasks they coalesced into
-    double coalescing = 1.0;         ///< tile_ops / engine_tasks
-    double stream_h2d_bytes = 0;     ///< modeled device staging volume
-    double stream_overlap = 1.0;     ///< modeled copy/compute overlap
 
     // Precision-ladder accounting. A Native request reports every
     // iteration at the native rung.
@@ -165,8 +144,8 @@ namespace detail {
 /// branch (Eq. 1) runs while c > 100, the Cholesky-based branch (Eq. 2)
 /// after; a Cholesky operand that is not numerically HPD throws tbp::Error
 /// (surfaced at a sync point), which is the ladder's fallback trigger.
-template <typename Ex, typename T>
-void qdwh_iter(Ex& eng, prec::QdwhWeights const& w, TiledMatrix<T>& cur,
+template <typename T>
+void qdwh_iter(rt::Engine& eng, prec::QdwhWeights const& w, TiledMatrix<T>& cur,
                TiledMatrix<T>& oth, QdwhWorkspace<T>& ws,
                QdwhOptions const& opts) {
     using R = real_t<T>;
@@ -213,11 +192,10 @@ void qdwh_iter(Ex& eng, prec::QdwhWeights const& w, TiledMatrix<T>& cur,
 }
 
 /// Body of qdwh_status after validation; may throw tbp::Error from task
-/// synchronization points (caught and mapped by qdwh_status). `Ex` is
-/// rt::Engine (per-tile tasks) or dev::Executor (batched device path).
-template <typename Ex, typename T>
-Status qdwh_run(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
-                QdwhOptions const& opts) {
+/// synchronization points (caught and mapped by qdwh_status).
+template <typename T>
+Status qdwh_run(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
+                QdwhInfo& info, QdwhOptions const& opts) {
     using R = real_t<T>;
     using S = prec::shadow_t<T>;
     prec::Prec const native = prec::native_prec<T>();
@@ -405,24 +383,6 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
         return Status::InvalidArgument;
 
     try {
-        if (opts.target == dev::Target::BatchedHost) {
-            dev::ExecOptions eo;
-            eo.target = dev::Target::BatchedHost;
-            eo.max_batch = opts.max_batch;
-            eo.model_streams = opts.model_streams;
-            eo.tile_bytes = static_cast<std::size_t>(A.tile_mb(0))
-                            * static_cast<std::size_t>(A.tile_nb(0))
-                            * sizeof(T);
-            dev::Executor ex(eng, eo);
-            Status const s = detail::qdwh_run(ex, A, H, info, opts);
-            auto const& bs = ex.batch_stats();
-            info.tile_ops = bs.ops;
-            info.engine_tasks = bs.tasks;
-            info.coalescing = bs.coalescing();
-            info.stream_h2d_bytes = ex.stream_stats().h2d_bytes;
-            info.stream_overlap = ex.stream_stats().overlap_fraction();
-            return s;
-        }
         return detail::qdwh_run(eng, A, H, info, opts);
     } catch (Error const&) {
         // A task-level numerical failure (e.g. a non-HPD Cholesky pivot)

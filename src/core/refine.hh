@@ -30,8 +30,9 @@ struct RefineInfo {
 /// Refine U (m x n, sigma(U) in (0, sqrt(3))) toward U^H U = I in U's own
 /// precision. Stops when ||I - U^H U||_F < 10 eps sqrt(n) or after
 /// max_steps. Synchronizes.
-template <typename Ex, typename T>
-RefineInfo polar_refine_ns(Ex& eng, TiledMatrix<T> U, int max_steps = 5) {
+template <typename T>
+RefineInfo polar_refine_ns(rt::Engine& eng, TiledMatrix<T> U,
+                           int max_steps = 5) {
     using R = real_t<T>;
     std::int64_t const n = U.n();
     auto const rows = U.row_tile_sizes();

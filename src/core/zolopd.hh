@@ -33,7 +33,6 @@
 #include "common/types.hh"
 #include "core/polar_stages.hh"
 #include "core/precision_policy.hh"
-#include "device/executor.hh"
 #include "linalg/gemm.hh"
 #include "linalg/geqrf.hh"
 #include "linalg/potrf.hh"
@@ -56,13 +55,8 @@ struct ZoloOptions {
     /// Exploit the sqrt(c) I block of each stacked [X; sqrt(c) I] term via
     /// geqrf_stacked_tri / ungqr_stacked_tri (see QdwhOptions).
     bool structured_qr = true;
-    /// Execution target (see QdwhOptions::target): per-tile tasks or the
-    /// batched device executor.
-    dev::Target target = dev::Target::Tasks;
     /// Panel lookahead depth of the QR/Cholesky solves (see QdwhOptions).
     int lookahead = 0;
-    /// Largest coalesced batch under BatchedHost.
-    int max_batch = 32;
     /// Precision ladder (core/precision_policy.hh). Zolo-PD's whole
     /// iteration converges in ~2 sweeps, so there is no per-iteration rung
     /// schedule to exploit: a low-precision request on a double-kind matrix
@@ -177,9 +171,9 @@ inline ZoloCoeffs zolo_coeffs(double l, int r) {
 
 /// Body of zolo_pd_status after validation; may throw tbp::Error from task
 /// synchronization points (caught and mapped by zolo_pd_status).
-template <typename Ex, typename T>
-Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
-                 ZoloOptions const& opts) {
+template <typename T>
+Status zolo_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
+                 ZoloInfo& info, ZoloOptions const& opts) {
     using R = real_t<T>;
     info.terms = opts.r;
     double const flops0 = eng.flops_executed();
@@ -352,16 +346,6 @@ Status zolo_pd_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                 info.orth_after = ref.orth_after;
                 return s;
             }
-        }
-        if (opts.target == dev::Target::BatchedHost) {
-            dev::ExecOptions eo;
-            eo.target = dev::Target::BatchedHost;
-            eo.max_batch = opts.max_batch;
-            eo.tile_bytes = static_cast<std::size_t>(A.tile_mb(0))
-                            * static_cast<std::size_t>(A.tile_nb(0))
-                            * sizeof(T);
-            dev::Executor ex(eng, eo);
-            return detail::zolo_impl(ex, A, H, info, opts);
         }
         return detail::zolo_impl(eng, A, H, info, opts);
     } catch (Error const&) {

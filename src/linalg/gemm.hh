@@ -21,8 +21,8 @@ namespace tbp::la {
 /// One task per C tile performs its full k-accumulation; parallelism comes
 /// from the mt x nt independent C tiles, matching SLATE's gemm structure.
 /// Tile boundaries of op(A), op(B) and C must conform.
-template <typename Ex, typename T>
-void gemm(Ex& eng, Op opA, Op opB, T alpha, TiledMatrix<T> A,
+template <typename T>
+void gemm(rt::Engine& eng, Op opA, Op opB, T alpha, TiledMatrix<T> A,
           TiledMatrix<T> B, T beta, TiledMatrix<T> C) {
     int const mt = C.mt();
     int const nt = C.nt();
@@ -69,8 +69,8 @@ void gemm(Ex& eng, Op opA, Op opB, T alpha, TiledMatrix<T> A,
 /// the Q1 Q2^H update of the structured QDWH iterate — Q2 = R^{-1} is
 /// upper triangular, so block column j of C only sums over l >= j, halving
 /// the gemm flops (2n^3 -> n^3) relative to the dense product.
-template <typename Ex, typename T>
-void gemm_rt_upper(Ex& eng, T alpha, TiledMatrix<T> A,
+template <typename T>
+void gemm_rt_upper(rt::Engine& eng, T alpha, TiledMatrix<T> A,
                    TiledMatrix<T> B, T beta, TiledMatrix<T> C) {
     int const mt = C.mt();
     int const nt = C.nt();
@@ -110,8 +110,8 @@ void gemm_rt_upper(Ex& eng, T alpha, TiledMatrix<T> A,
 /// update uses this to write A_k into the spare rotation buffer while
 /// A_{k-1} (= D) survives untouched for the convergence check — no
 /// per-iteration copy sweep.
-template <typename Ex, typename T>
-void gemm_rt_upper(Ex& eng, T alpha, TiledMatrix<T> A,
+template <typename T>
+void gemm_rt_upper(rt::Engine& eng, T alpha, TiledMatrix<T> A,
                    TiledMatrix<T> B, T beta, TiledMatrix<T> D,
                    TiledMatrix<T> C) {
     int const mt = C.mt();
@@ -154,8 +154,8 @@ void gemm_rt_upper(Ex& eng, T alpha, TiledMatrix<T> A,
 /// products into a private workspace ("tiles of B are sent to where the
 /// tiles of A reside") and then reduces the partials into each C tile
 /// ("parallel reduction to where the output C tiles reside").
-template <typename Ex, typename T>
-void gemmA(Ex& eng, Op opA, T alpha, TiledMatrix<T> A,
+template <typename T>
+void gemmA(rt::Engine& eng, Op opA, T alpha, TiledMatrix<T> A,
            TiledMatrix<T> B, T beta, TiledMatrix<T> C) {
     int const mt = C.mt();
     int const nt = C.nt();
@@ -223,8 +223,8 @@ void gemmA(Ex& eng, Op opA, T alpha, TiledMatrix<T> A,
 ///   op == NoTrans:   C := alpha A A^H + beta C   (A is C.mt x kt)
 ///   op == ConjTrans: C := alpha A^H A + beta C   (A is kt x C.mt)
 /// Only the `uplo` triangle of C is updated. alpha, beta real (herk).
-template <typename Ex, typename T>
-void herk(Ex& eng, Uplo uplo, Op op, real_t<T> alpha, TiledMatrix<T> A,
+template <typename T>
+void herk(rt::Engine& eng, Uplo uplo, Op op, real_t<T> alpha, TiledMatrix<T> A,
           real_t<T> beta, TiledMatrix<T> C) {
     int const nt = C.nt();
     tbp_require(C.mt() == nt);

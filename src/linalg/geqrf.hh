@@ -52,8 +52,9 @@ TiledMatrix<T> alloc_qr_t(TiledMatrix<T> const& A) {
 /// k+1..k+lookahead unblock before the bulk of the trailing matrix is
 /// touched. 0 (the default) keeps the plain dataflow schedule; the
 /// numerical result is identical for every depth.
-template <typename Ex, typename T>
-void geqrf(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat, int lookahead = 0) {
+template <typename T>
+void geqrf(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat,
+           int lookahead = 0) {
     int const mt = A.mt();
     int const nt = A.nt();
     int const kt = std::min(mt, nt);
@@ -142,8 +143,8 @@ void geqrf(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat, int lookahead = 0) {
 /// drop from 10/3 n^3 to 7/3 n^3 at m = n). Requires m >= n stacking
 /// (mt1 >= nt) and square W2 diagonal tiles
 /// (W.tile_mb(mt1 + i) == W.tile_nb(i)), which [A; I] guarantees.
-template <typename Ex, typename T>
-void geqrf_stacked_tri(Ex& eng, TiledMatrix<T> W, int mt1, T w2_diag,
+template <typename T>
+void geqrf_stacked_tri(rt::Engine& eng, TiledMatrix<T> W, int mt1, T w2_diag,
                        TiledMatrix<T> Tmat, int lookahead = 0) {
     int const mt = W.mt();
     int const nt = W.nt();
@@ -276,8 +277,8 @@ void geqrf_stacked_tri(Ex& eng, TiledMatrix<T> W, int mt1, T w2_diag,
 /// Form Q (A.m-by-A.n) explicitly from a geqrf-factored A: Q := Q_factored
 /// applied to [I; 0]. Q must share A's row tiling; its column tiling must
 /// match A's first nt block columns.
-template <typename Ex, typename T>
-void ungqr(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat,
+template <typename T>
+void ungqr(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat,
            TiledMatrix<T> Q) {
     int const mt = A.mt();
     int const nt = std::min(A.mt(), A.nt());
@@ -327,8 +328,8 @@ void ungqr(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> Tmat,
 /// its reflectors can reach. The apply order is the exact reverse of
 /// geqrf_stacked_tri's fold order, and the first touch of each upper Q2
 /// diagonal tile goes through ttmqr's overwriting c2_zero path.
-template <typename Ex, typename T>
-void ungqr_stacked_tri(Ex& eng, TiledMatrix<T> W, int mt1,
+template <typename T>
+void ungqr_stacked_tri(rt::Engine& eng, TiledMatrix<T> W, int mt1,
                        TiledMatrix<T> Tmat, TiledMatrix<T> Q) {
     int const mt = W.mt();
     int const nt = W.nt();
@@ -427,8 +428,8 @@ void ungqr_stacked_tri(Ex& eng, TiledMatrix<T> W, int mt1,
 
 /// Apply Q (or Q^H) from a geqrf-factored A to a conforming matrix C from
 /// the left: C := op(Q) C. Used by the unmqr-based SVD/EVD extensions.
-template <typename Ex, typename T>
-void unmqr(Ex& eng, Op op, TiledMatrix<T> A, TiledMatrix<T> Tmat,
+template <typename T>
+void unmqr(rt::Engine& eng, Op op, TiledMatrix<T> A, TiledMatrix<T> Tmat,
            TiledMatrix<T> C) {
     int const mt = A.mt();
     int const nt = std::min(A.mt(), A.nt());

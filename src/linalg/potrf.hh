@@ -22,8 +22,8 @@ namespace tbp::la {
 /// factors A = U^H U. Throws tbp::Error via the tile kernel if A is not HPD.
 /// `lookahead` promotes trailing updates into the next `lookahead` panel
 /// columns onto the priority lane (see geqrf); 0 keeps the plain schedule.
-template <typename Ex, typename T>
-void potrf(Ex& eng, Uplo uplo, TiledMatrix<T> A, int lookahead = 0) {
+template <typename T>
+void potrf(rt::Engine& eng, Uplo uplo, TiledMatrix<T> A, int lookahead = 0) {
     int const nt = A.nt();
     tbp_require(A.mt() == nt);
     tbp_require(uplo == Uplo::Lower);  // QDWH needs Lower; Upper unimplemented
@@ -82,8 +82,9 @@ void potrf(Ex& eng, Uplo uplo, TiledMatrix<T> A, int lookahead = 0) {
 
 /// Solve A X = B with A Hermitian positive definite: Cholesky factor, then
 /// two triangular solves. A is overwritten by its factor, B by X.
-template <typename Ex, typename T>
-void posv(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B, int lookahead = 0) {
+template <typename T>
+void posv(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> B,
+          int lookahead = 0) {
     potrf(eng, Uplo::Lower, A, lookahead);
     trsm(eng, Side::Left, Uplo::Lower, Op::NoTrans, Diag::NonUnit, T(1), A, B);
     trsm(eng, Side::Left, Uplo::Lower, Op::ConjTrans, Diag::NonUnit, T(1), A, B);

@@ -21,8 +21,8 @@
 
 namespace tbp::la {
 
-template <typename Ex, typename T>
-void trsm(Ex& eng, Side side, Uplo uplo, Op op, Diag diag, T alpha,
+template <typename T>
+void trsm(rt::Engine& eng, Side side, Uplo uplo, Op op, Diag diag, T alpha,
           TiledMatrix<T> A, TiledMatrix<T> B) {
     int const mt = B.mt();
     int const nt = B.nt();

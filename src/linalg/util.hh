@@ -22,8 +22,8 @@
 namespace tbp::la {
 
 /// B := A, tile-wise; tilings must match.
-template <typename Ex, typename T>
-void copy(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B) {
+template <typename T>
+void copy(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> B) {
     tbp_require(A.mt() == B.mt() && A.nt() == B.nt());
     for (int j = 0; j < A.nt(); ++j) {
         for (int i = 0; i < A.mt(); ++i) {
@@ -40,8 +40,9 @@ void copy(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B) {
 /// precision ladder) to move iterates between the native matrices and their
 /// low-precision shadows. Charges no kernel flops: conversion is O(n^2)
 /// traffic, accounted separately by the precision cost model.
-template <typename Ex, typename TS, typename TD>
-void convert_copy(Ex& eng, TiledMatrix<TS> const& src, TiledMatrix<TD> dst) {
+template <typename TS, typename TD>
+void convert_copy(rt::Engine& eng, TiledMatrix<TS> const& src,
+                  TiledMatrix<TD> dst) {
     tbp_require(src.mt() == dst.mt() && src.nt() == dst.nt());
     for (int j = 0; j < src.nt(); ++j) {
         for (int i = 0; i < src.mt(); ++i) {
@@ -64,8 +65,9 @@ void convert_copy(Ex& eng, TiledMatrix<TS> const& src, TiledMatrix<TD> dst) {
 
 /// B := op(A) with op in {Trans, ConjTrans}; B must be A.n-by-A.m with the
 /// transposed tiling.
-template <typename Ex, typename T>
-void transpose_copy(Ex& eng, Op op, TiledMatrix<T> A, TiledMatrix<T> B) {
+template <typename T>
+void transpose_copy(rt::Engine& eng, Op op, TiledMatrix<T> A,
+                    TiledMatrix<T> B) {
     tbp_require(A.mt() == B.nt() && A.nt() == B.mt());
     for (int j = 0; j < A.nt(); ++j) {
         for (int i = 0; i < A.mt(); ++i) {
@@ -80,8 +82,8 @@ void transpose_copy(Ex& eng, Op op, TiledMatrix<T> A, TiledMatrix<T> B) {
 }
 
 /// A := alpha * A.
-template <typename Ex, typename T>
-void scale(Ex& eng, T alpha, TiledMatrix<T> A) {
+template <typename T>
+void scale(rt::Engine& eng, T alpha, TiledMatrix<T> A) {
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
             eng.submit("scale", {rt::readwrite(A.tile_key(i, j))},
@@ -90,8 +92,8 @@ void scale(Ex& eng, T alpha, TiledMatrix<T> A) {
 }
 
 /// B := alpha * A + beta * B (geadd).
-template <typename Ex, typename T>
-void add(Ex& eng, T alpha, TiledMatrix<T> A, T beta, TiledMatrix<T> B) {
+template <typename T>
+void add(rt::Engine& eng, T alpha, TiledMatrix<T> A, T beta, TiledMatrix<T> B) {
     tbp_require(A.mt() == B.mt() && A.nt() == B.nt());
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
@@ -105,8 +107,8 @@ void add(Ex& eng, T alpha, TiledMatrix<T> A, T beta, TiledMatrix<T> B) {
 
 /// A := offdiag off the global diagonal, diag on it (laset). Assumes square
 /// tiles on the diagonal when mt == nt tilings align (always true in TBP).
-template <typename Ex, typename T>
-void set(Ex& eng, T offdiag, T diag, TiledMatrix<T> A) {
+template <typename T>
+void set(rt::Engine& eng, T offdiag, T diag, TiledMatrix<T> A) {
     for (int j = 0; j < A.nt(); ++j) {
         for (int i = 0; i < A.mt(); ++i) {
             eng.submit("set", {rt::write(A.tile_key(i, j))},
@@ -119,15 +121,15 @@ void set(Ex& eng, T offdiag, T diag, TiledMatrix<T> A) {
 }
 
 /// A := I (square view).
-template <typename Ex, typename T>
-void set_identity(Ex& eng, TiledMatrix<T> A) {
+template <typename T>
+void set_identity(rt::Engine& eng, TiledMatrix<T> A) {
     set(eng, T(0), T(1), A);
 }
 
 /// Column absolute sums of the whole matrix (the "local sums" step of
 /// Algorithm 2, line 6). Returns a dense vector of length A.n().
-template <typename Ex, typename T>
-std::vector<real_t<T>> col_abs_sums(Ex& eng, TiledMatrix<T> A) {
+template <typename T>
+std::vector<real_t<T>> col_abs_sums(rt::Engine& eng, TiledMatrix<T> A) {
     using R = real_t<T>;
     std::vector<R> sums(static_cast<size_t>(A.n()), R(0));
     std::mutex mtx;
@@ -157,8 +159,8 @@ std::vector<real_t<T>> col_abs_sums(Ex& eng, TiledMatrix<T> A) {
 /// need (two full-matrix sweeps and a destroyed Aprev). Partials land in
 /// fixed slots and are summed in a fixed order after the fence, preserving
 /// the deterministic-reduction ordering of Norm::Fro. Synchronizing.
-template <typename Ex, typename T>
-real_t<T> diff_norm_fro(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B,
+template <typename T>
+real_t<T> diff_norm_fro(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> B,
                         real_t<T> s = real_t<T>(1)) {
     using R = real_t<T>;
     tbp_require(A.mt() == B.mt() && A.nt() == B.nt());
@@ -185,8 +187,8 @@ real_t<T> diff_norm_fro(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B,
 }
 
 /// Matrix norm. One/Inf/Fro/Max as in LAPACK's lange. Synchronizing.
-template <typename Ex, typename T>
-real_t<T> norm(Ex& eng, Norm which, TiledMatrix<T> A) {
+template <typename T>
+real_t<T> norm(rt::Engine& eng, Norm which, TiledMatrix<T> A) {
     using R = real_t<T>;
     switch (which) {
         case Norm::One: {

@@ -2,11 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <string>
-
-#include "common/flops.hh"
-#include "device/executor.hh"
 
 namespace tbp::perf {
 
@@ -382,141 +378,6 @@ QrTaskCounts qr_task_counts(int mt1, int nt, bool structured) {
         c.unmqr += nt - k;
     }
     return c;
-}
-
-namespace {
-
-/// Mirror of dev::Executor's batching collector: one open group, joined on
-/// (name, per-op flops, priority, arity) equality, flushed by a key change,
-/// a non-batchable submission, max_batch, or a fence. Counts only — the
-/// replay below feeds it the drivers' exact submission order.
-struct BatchSim {
-    explicit BatchSim(int mb) : max_batch(std::max(1, mb)) {}
-
-    int max_batch;
-    std::int64_t ops = 0;
-    std::int64_t tasks = 0;
-
-    void submit(char const* name, double flops, int priority,
-                std::size_t arity) {
-        ++ops;
-        if (!dev::Executor::batchable(name)) {
-            flush();
-            ++tasks;
-            return;
-        }
-        bool const joins = open_ && open_name_ == name && open_flops_ == flops
-                           && open_prio_ == priority && open_arity_ == arity;
-        if (!joins)
-            flush();
-        if (!open_) {
-            open_ = true;
-            open_name_ = name;
-            open_flops_ = flops;
-            open_prio_ = priority;
-            open_arity_ = arity;
-        }
-        if (++open_n_ >= max_batch)
-            flush();
-    }
-
-    void flush() {
-        if (!open_)
-            return;
-        ++tasks;
-        open_ = false;
-        open_n_ = 0;
-    }
-
-private:
-    bool open_ = false;
-    std::string open_name_;
-    double open_flops_ = 0;
-    int open_prio_ = 0;
-    std::size_t open_arity_ = 0;
-    int open_n_ = 0;
-};
-
-}  // namespace
-
-BatchedDagCounts qr_batched_counts(int mt1, int nt, int nb, bool structured,
-                                   int max_batch) {
-    BatchSim sim(max_batch);
-    int const mt = mt1 + nt;
-    double const upd = 4.0 * nb * nb * nb;  // unmqr/tsmqr per-op flop key
-    auto set_sweep = [&](std::int64_t tiles) {
-        for (std::int64_t t = 0; t < tiles; ++t)
-            sim.submit("set", 0.0, 0, 1);
-        sim.flush();  // la::set ends with op_fence
-    };
-
-    if (!structured) {
-        // set_identity(W2) + geqrf(W) + set_identity(Q) + ungqr, exactly as
-        // qr_task_counts' dense contract.
-        set_sweep(static_cast<std::int64_t>(nt) * nt);
-        for (int k = 0; k < nt; ++k) {
-            sim.submit("geqrt", 0.0, 1, 2);
-            for (int j = k + 1; j < nt; ++j)
-                sim.submit("unmqr", upd, 0, 3);
-            for (int i = k + 1; i < mt; ++i) {
-                sim.submit("tsqrt", 0.0, 1, 3);
-                for (int j = k + 1; j < nt; ++j)
-                    sim.submit("tsmqr", upd, 0, 4);
-            }
-        }
-        sim.flush();
-        set_sweep(static_cast<std::int64_t>(mt) * nt);
-        for (int k = nt - 1; k >= 0; --k) {
-            for (int i = mt - 1; i > k; --i)
-                for (int j = k; j < nt; ++j)
-                    sim.submit("tsmqr", upd, 0, 4);
-            for (int j = k; j < nt; ++j)
-                sim.submit("unmqr", upd, 0, 3);
-        }
-        sim.flush();
-        return {sim.ops, sim.tasks};
-    }
-
-    // geqrf_stacked_tri + ungqr_stacked_tri.
-    double const ttm_first = flops::ttmqr(nb, nb, nb, true);
-    double const ttm_upd = flops::ttmqr(nb, nb, nb, false);
-    for (int k = 0; k < nt; ++k) {
-        sim.submit("geqrt", 0.0, 1, 2);
-        for (int j = k + 1; j < nt; ++j)
-            sim.submit("unmqr", upd, 0, 3);
-        for (int i = k + 1; i < mt1; ++i) {
-            sim.submit("tsqrt", 0.0, 1, 3);
-            for (int j = k + 1; j < nt; ++j)
-                sim.submit("tsmqr", upd, 0, 4);
-        }
-        sim.submit("w2_init", 0.0, 1, 1);
-        sim.submit("ttqrt", 0.0, 1, 3);
-        for (int j = k + 1; j < nt; ++j)
-            sim.submit("ttmqr", ttm_first, 0, 4);
-        for (int i2 = 0; i2 < k; ++i2) {
-            sim.submit("tsqrt", 0.0, 1, 3);
-            for (int j = k + 1; j < nt; ++j)
-                sim.submit("tsmqr", upd, 0, 4);
-        }
-    }
-    sim.flush();
-    set_sweep(static_cast<std::int64_t>(mt1) * nt);
-    for (std::int64_t t = 0; t < static_cast<std::int64_t>(nt) * (nt - 1); ++t)
-        sim.submit("q2_init", 0.0, 0, 1);
-    for (int k = nt - 1; k >= 0; --k) {
-        for (int i2 = k - 1; i2 >= 0; --i2)
-            for (int j = k; j < nt; ++j)
-                sim.submit("tsmqr", upd, 0, 4);
-        for (int j = k; j < nt; ++j)
-            sim.submit("ttmqr", j == k ? ttm_first : ttm_upd, 0, 4);
-        for (int i = mt1 - 1; i > k; --i)
-            for (int j = k; j < nt; ++j)
-                sim.submit("tsmqr", upd, 0, 4);
-        for (int j = k; j < nt; ++j)
-            sim.submit("unmqr", upd, 0, 3);
-    }
-    sim.flush();
-    return {sim.ops, sim.tasks};
 }
 
 int CostModel::total_devices() const {

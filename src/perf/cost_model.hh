@@ -131,34 +131,6 @@ struct QrTaskCounts {
 /// (tested in test_perf).
 QrTaskCounts qr_task_counts(int mt1, int nt, bool structured);
 
-/// Engine-DAG shape of the same factor + Q-generation pair when routed
-/// through the batched device executor (dev::Executor) with the given
-/// max_batch. `tile_ops` is the per-tile operation count — always equal to
-/// qr_task_counts(mt1, nt, structured).total() and to the traced
-/// DagStats::tile_ops; `engine_tasks` is the scheduler task count after
-/// coalescing, matching the traced DagStats::tasks exactly for a uniform
-/// nb x nb tiling (tested in test_device).
-struct BatchedDagCounts {
-    std::int64_t tile_ops = 0;
-    std::int64_t engine_tasks = 0;
-
-    /// Scheduler-load reduction: tile ops per engine task.
-    double coalescing() const {
-        return engine_tasks > 0
-                   ? static_cast<double>(tile_ops)
-                         / static_cast<double>(engine_tasks)
-                   : 1.0;
-    }
-};
-
-/// Replay the geqrf(+set_identity) + ungqr submission streams through the
-/// batching collector's grouping rule (same kernel name, per-op flops,
-/// priority and arity coalesce; non-batchable ops and fences flush), for a
-/// uniform nb x nb tile grid. max_batch < 1 is clamped to 1 (no batching:
-/// engine_tasks == tile_ops).
-BatchedDagCounts qr_batched_counts(int mt1, int nt, int nb, bool structured,
-                                   int max_batch);
-
 enum class Schedule { TaskDataflow, ForkJoin };
 
 /// Kernel class determines the efficiency curve applied to a device.

@@ -95,10 +95,7 @@ struct SchedReport {
     std::string format() const {
         std::ostringstream os;
         os << "scheduler report: " << dag.tasks << " tasks on " << workers
-           << " workers";
-        if (dag.tile_ops > dag.tasks)
-            os << " (" << dag.tile_ops << " tile ops batched)";
-        os << "\n"
+           << " workers\n"
            << "  makespan " << sched.makespan << " s, " << tasks_per_sec()
            << " tasks/s, utilization " << sched.utilization << "\n"
            << "  DAG: work " << dag.total_work << " s, critical path "

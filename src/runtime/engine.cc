@@ -15,10 +15,9 @@ struct Engine::Task {
     int priority = 0;
     std::uint64_t id = 0;
     JobId job = kAmbientJob;
-    std::uint64_t ops = 1;
     // Gemm mode captured from the submitting thread's ambient slot, so a
-    // worker (or a later batch flush) executes the body under the precision
-    // the algorithm layer requested at submission (see common/precision.hh).
+    // worker executes the body under the precision the algorithm layer
+    // requested at submission (see common/precision.hh).
     prec::GemmMode gemm_mode = prec::GemmMode::Native;
     std::vector<std::uint64_t> dep_ids;
 
@@ -80,7 +79,7 @@ Engine::~Engine() {
 
 void Engine::submit(char const* name, double flops,
                     std::vector<Access> accesses, std::function<void()> fn,
-                    int priority, JobId job, std::uint64_t ops) {
+                    int priority, JobId job) {
     if (mode_ == Mode::Sequential) {
         double const t0 = wall_time();
         if (!job_poisoned(job)) {
@@ -91,7 +90,6 @@ void Engine::submit(char const* name, double flops,
         }
         double const t1 = wall_time();
         tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-        tile_ops_executed_.fetch_add(ops, std::memory_order_relaxed);
         {
             std::lock_guard<std::mutex> lk(stats_mtx_);
             flops_executed_ += flops;
@@ -99,7 +97,7 @@ void Engine::submit(char const* name, double flops,
         if (trace_on_.load(std::memory_order_relaxed)) {
             std::lock_guard<std::mutex> lk(trace_mtx_);
             trace_.push_back({name, flops, t0, t1, 0, next_id_++, {}, priority,
-                              false, ops});
+                              false});
         }
         return;
     }
@@ -110,7 +108,6 @@ void Engine::submit(char const* name, double flops,
     t->flops = flops;
     t->priority = priority;
     t->job = job;
-    t->ops = ops;
     t->gemm_mode = prec::ambient_gemm_mode();
     t->id = next_id_++;
 
@@ -353,7 +350,6 @@ void Engine::run_task(Task* t, int worker_id, bool stolen) {
     double const t1 = wall_time();
 
     tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    tile_ops_executed_.fetch_add(t->ops, std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lk(stats_mtx_);
         flops_executed_ += t->flops;
@@ -361,7 +357,7 @@ void Engine::run_task(Task* t, int worker_id, bool stolen) {
     if (trace_on_.load(std::memory_order_relaxed)) {
         std::lock_guard<std::mutex> lk(trace_mtx_);
         trace_.push_back({t->name, t->flops, t0, t1, worker_id, t->id,
-                          t->dep_ids, t->priority, stolen, t->ops});
+                          t->dep_ids, t->priority, stolen});
     }
 
     std::vector<Task*> succ;
@@ -448,7 +444,6 @@ Engine::SchedStats Engine::sched_stats() const {
 
 void Engine::reset_stats() {
     tasks_executed_.store(0);
-    tile_ops_executed_.store(0);
     local_pops_.store(0);
     steals_.store(0);
     global_pops_.store(0);

@@ -111,7 +111,6 @@ struct TaskRecord {
     std::vector<std::uint64_t> deps;  // ids of predecessor tasks (deduped)
     int priority = 0;
     bool stolen = false;  // executed by a worker that stole it from a victim
-    std::uint64_t ops = 1;  // tile operations the body performed (batch size)
 };
 
 class Engine {
@@ -139,14 +138,10 @@ public:
     /// Submit a task. Must be called from a single submitter thread (the
     /// algorithm driver), as with OpenMP task regions. priority > 0 marks a
     /// critical-path task scheduled ahead of priority-0 work (see header).
-    /// `job` selects the error-scoping domain the task belongs to. `ops` is
-    /// the number of tile operations the body performs — 1 for an ordinary
-    /// per-tile task, the batch size for a batched-executor group task — so
-    /// DAG-level accounting (perf::qr_task_counts vs. the traced DAG) stays
-    /// exact when one engine task carries a whole batch.
+    /// `job` selects the error-scoping domain the task belongs to.
     void submit(char const* name, double flops, std::vector<Access> accesses,
                 std::function<void()> fn, int priority = 0,
-                JobId job = kAmbientJob, std::uint64_t ops = 1);
+                JobId job = kAmbientJob);
 
     /// Convenience overload without cost metadata.
     void submit(char const* name, std::vector<Access> accesses,
@@ -184,10 +179,6 @@ public:
 
     // --- statistics -------------------------------------------------------
     std::uint64_t tasks_executed() const { return tasks_executed_.load(); }
-    /// Tile operations executed (sum of per-task `ops`). Equals
-    /// tasks_executed() when nothing is batched; larger under the batched
-    /// device executor, where one task can carry many tile ops.
-    std::uint64_t tile_ops_executed() const { return tile_ops_executed_.load(); }
     double flops_executed() const;
     SchedStats sched_stats() const;
     void reset_stats();
@@ -243,7 +234,6 @@ private:
     std::uint64_t next_id_ = 0;
 
     std::atomic<std::uint64_t> tasks_executed_{0};
-    std::atomic<std::uint64_t> tile_ops_executed_{0};
     std::atomic<std::uint64_t> local_pops_{0};
     std::atomic<std::uint64_t> steals_{0};
     std::atomic<std::uint64_t> global_pops_{0};

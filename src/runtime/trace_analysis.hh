@@ -26,7 +26,6 @@ namespace tbp::rt {
 /// Schedule-independent DAG statistics.
 struct DagStats {
     std::uint64_t tasks = 0;
-    std::uint64_t tile_ops = 0;  ///< sum of per-task ops (= tasks unless batched)
     double total_work = 0;       ///< sum of task durations (seconds)
     double total_flops = 0;
     double critical_path = 0;    ///< longest dependency chain (seconds)
@@ -63,7 +62,6 @@ inline DagStats analyze(std::vector<TaskRecord> const& trace) {
     for (size_t i = 0; i < by_id.size(); ++i) {
         auto const& r = *by_id[i];
         double const dur = r.t_end - r.t_start;
-        s.tile_ops += r.ops;
         s.total_work += dur;
         s.total_flops += r.flops;
         t_min = std::min(t_min, r.t_start);

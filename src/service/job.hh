@@ -55,25 +55,6 @@ inline char const* job_class_name(JobClass c) {
     return c == JobClass::Latency ? "latency" : "bulk";
 }
 
-/// Execution-target override for a job. Auto resolves from the QoS class:
-/// Bulk jobs run on the batched device executor (throughput — coalesced
-/// engine tasks, modeled streams), Latency jobs stay per-tile (lowest
-/// time-to-first-result). Tasks/Batched force one path regardless of class.
-enum class JobTarget {
-    Auto,     ///< Bulk -> Batched, Latency -> Tasks
-    Tasks,    ///< force per-tile engine tasks
-    Batched,  ///< force the batched device executor
-};
-
-inline char const* job_target_name(JobTarget t) {
-    switch (t) {
-        case JobTarget::Auto: return "auto";
-        case JobTarget::Tasks: return "tasks";
-        case JobTarget::Batched: return "batched";
-    }
-    return "unknown";
-}
-
 /// Per-job precision request. Auto resolves from the QoS class: Bulk jobs
 /// run the adaptive ladder (throughput — the schedule is deterministic per
 /// spec, so batch outputs stay bit-reproducible), Latency jobs stay native
@@ -112,8 +93,6 @@ struct JobSpec {
     double cond = 1e6;
     int max_iter = 0;  ///< 0 = solver default; 1 forces NotConverged paths
     int r = 0;         ///< Zolo-PD partial-fraction terms; 0 = default
-    /// Execution target; Auto routes Bulk jobs onto the batched executor.
-    JobTarget target = JobTarget::Auto;
     int lookahead = 0;  ///< panel lookahead depth of the QR/Cholesky solves
     /// Precision ladder request; Auto routes Bulk jobs onto the adaptive
     /// ladder (qdwh/zolopd kinds only; the direct factorizations and the
@@ -132,28 +111,6 @@ struct JobSpec {
     /// body with backoff); 0 = the service's RetryPolicy default.
     int max_attempts = 0;
 };
-
-/// Resolve a job's effective target from its override, QoS class, and tile
-/// count. The batched executor earns its keep by coalescing many same-shape
-/// tile ops into one engine task; a job with only a handful of tiles has
-/// too few same-shape ops per flush window to amortize the collector's
-/// group-key bookkeeping, which then sits on the critical path (measured
-/// 0.74-0.88x jobs/sec on the <= 6-tile service throughput mix, native and
-/// adaptive precision alike). Jobs under kBatchedMinTiles stay on plain
-/// tasks even for Bulk — an explicit JobTarget::Batched override still
-/// forces the executor.
-inline constexpr std::int64_t kBatchedMinTiles = 9;
-
-inline JobTarget resolve_target(JobSpec const& spec) {
-    if (spec.target != JobTarget::Auto)
-        return spec.target;
-    std::int64_t const rows = spec.kind == JobKind::Posv ? spec.n : spec.m;
-    std::int64_t const mt = (rows + spec.nb - 1) / spec.nb;
-    std::int64_t const nt = (spec.n + spec.nb - 1) / spec.nb;
-    if (mt * nt < kBatchedMinTiles)
-        return JobTarget::Tasks;
-    return spec.cls == JobClass::Bulk ? JobTarget::Batched : JobTarget::Tasks;
-}
 
 /// Resolve a job's effective precision request from its override and QoS
 /// class (see JobPrec).

@@ -27,7 +27,6 @@
 #include "comm/dist_qdwh.hh"
 #include "core/qdwh.hh"
 #include "core/zolopd.hh"
-#include "device/executor.hh"
 #include "gen/matgen.hh"
 #include "linalg/geqrf.hh"
 #include "linalg/potrf.hh"
@@ -77,43 +76,6 @@ inline Status validate(JobSpec const& spec) {
 
 namespace detail {
 
-/// Whether to actually wrap a job in the batched executor. The collector
-/// earns its keep by relieving scheduler pressure on a parallel engine; on
-/// a sequential engine (the service's private per-job engines) there is no
-/// pressure to relieve and its group-key bookkeeping sits directly on the
-/// critical path — measured 0.74-0.88x jobs/sec on the throughput mix even
-/// at 36 tiles. So Auto engages the executor only when the spec resolves
-/// Batched AND the engine is parallel; an explicit JobTarget::Batched
-/// override still always forces it.
-inline bool use_batched_exec(JobSpec const& spec, rt::Engine const& eng) {
-    if (spec.target == JobTarget::Batched)
-        return true;
-    return resolve_target(spec) == JobTarget::Batched
-           && eng.num_threads() > 1;
-}
-
-/// Run `body(ex)` on the engine or on a batched executor wrapping it,
-/// per the spec's resolved target (Bulk jobs default to batched). Used by
-/// the providers without a status-returning solver dispatch of their own
-/// (posv, geqrf); qdwh/zolopd route through their options instead.
-template <typename T, typename Body>
-void with_exec(rt::Engine& eng, JobSpec const& spec, Body&& body) {
-    if (use_batched_exec(spec, eng)) {
-        dev::ExecOptions eo;
-        eo.target = dev::Target::BatchedHost;
-        eo.tile_bytes = static_cast<std::size_t>(spec.nb)
-                        * static_cast<std::size_t>(spec.nb) * sizeof(T);
-        // Service jobs run on private sequential engines; the stream-overlap
-        // model would only add bookkeeping latency with nothing to overlap.
-        eo.model_streams = false;
-        dev::Executor ex(eng, eo);
-        body(ex);
-        ex.wait();
-    } else {
-        body(eng);
-    }
-}
-
 /// Stage A as dense column-major scalars into `slot`; returns bytes used.
 template <typename T>
 std::size_t stage_dense(Workspace& ws, Workspace::Slot slot,
@@ -139,10 +101,7 @@ void run_qdwh(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
     QdwhOptions qo;
     if (spec.max_iter > 0)
         qo.max_iter = spec.max_iter;
-    if (detail::use_batched_exec(spec, eng))
-        qo.target = dev::Target::BatchedHost;
     qo.lookahead = spec.lookahead;
-    qo.model_streams = false;  // private sequential engine: nothing overlaps
     qo.precision.request = resolve_precision(spec);
     QdwhInfo info;
     Status const s = qdwh_status(eng, A, H, info, qo);
@@ -173,8 +132,6 @@ void run_zolopd(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
         zo.max_iter = spec.max_iter;
     if (spec.r > 0)
         zo.r = spec.r;
-    if (detail::use_batched_exec(spec, eng))
-        zo.target = dev::Target::BatchedHost;
     zo.lookahead = spec.lookahead;
     zo.precision.request = resolve_precision(spec);
     ZoloInfo info;
@@ -207,8 +164,7 @@ void run_posv(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
     TiledMatrix<T> B(spec.n, spec.m, spec.nb);
     gen::fill_gaussian(eng, B, spec.seed ^ 0x9e3779b97f4a7c15ULL);
     // throws tbp::Error on a non-HPD pivot
-    with_exec<T>(eng, spec,
-                 [&](auto& ex) { la::posv(ex, A, B, spec.lookahead); });
+    la::posv(eng, A, B, spec.lookahead);
     eng.wait();
     res.status = Status::Ok;
     res.converged = true;
@@ -224,10 +180,8 @@ void run_geqrf(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
     gen::fill_gaussian(eng, A, spec.seed);
     TiledMatrix<T> Tm = la::alloc_qr_t(A);
     TiledMatrix<T> Q(spec.m, spec.n, spec.nb);
-    with_exec<T>(eng, spec, [&](auto& ex) {
-        la::geqrf(ex, A, Tm, spec.lookahead);
-        la::ungqr(ex, A, Tm, Q);
-    });
+    la::geqrf(eng, A, Tm, spec.lookahead);
+    la::ungqr(eng, A, Tm, Q);
     eng.wait();
     res.status = Status::Ok;
     res.converged = true;

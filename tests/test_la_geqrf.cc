@@ -1,11 +1,15 @@
 // Tiled flat-tree QR: R correctness, explicit Q orthogonality, A = Q R
 // reconstruction, rectangular and stacked (QDWH [sqrt(c) A; I]) shapes,
-// unmqr application, mode equivalence.
+// unmqr application, mode equivalence, lookahead invariance.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "gen/matgen.hh"
 #include "linalg/gemm.hh"
 #include "linalg/geqrf.hh"
+#include "linalg/potrf.hh"
 #include "linalg/util.hh"
 #include "ref/dense.hh"
 #include "test_util.hh"
@@ -43,6 +47,20 @@ void check_qr(int m, int n, int nb, rt::Mode mode = rt::Mode::TaskDataflow) {
     auto QR = ref::gemm(Op::NoTrans, Op::NoTrans, T(1), Qd, R);
     EXPECT_LE(ref::diff_fro(QR, D), test::tol<T>(1000) * (1 + ref::norm_fro(D)))
         << "m=" << m << " n=" << n << " nb=" << nb;
+}
+
+/// Bitwise equality: a scheduling change must not perturb a single ulp.
+template <typename T>
+void expect_bitwise(TiledMatrix<T> const& A, TiledMatrix<T> const& B) {
+    ASSERT_EQ(A.m(), B.m());
+    ASSERT_EQ(A.n(), B.n());
+    for (std::int64_t j = 0; j < A.n(); ++j)
+        for (std::int64_t i = 0; i < A.m(); ++i) {
+            T const a = A.at(i, j);
+            T const b = B.at(i, j);
+            ASSERT_EQ(0, std::memcmp(&a, &b, sizeof(T)))
+                << "mismatch at (" << i << ", " << j << ")";
+        }
 }
 
 }  // namespace
@@ -281,4 +299,34 @@ TYPED_TEST(LaGeqrf, ModesProduceSameFactor) {
     // bit-for-bit across schedules.
     EXPECT_EQ(ref::diff_fro(results[0], results[1]), real_t<T>(0));
     EXPECT_EQ(ref::diff_fro(results[0], results[2]), real_t<T>(0));
+}
+
+// Lookahead is a pure scheduling hint: promoting updates into the next
+// panels' columns changes priorities only, never the numerical result.
+TYPED_TEST(LaGeqrf, LookaheadBitwise) {
+    using T = TypeParam;
+    rt::Engine eng(3);
+    std::int64_t const m = 96, n = 64;
+    int const nb = 16;
+    TiledMatrix<T> A0(m, n, nb), A1(m, n, nb);
+    gen::fill_gaussian(eng, A0, 17);
+    la::copy(eng, A0, A1);
+    eng.wait();
+
+    TiledMatrix<T> T0 = la::alloc_qr_t(A0);
+    TiledMatrix<T> T1 = la::alloc_qr_t(A1);
+    la::geqrf(eng, A0, T0, /*lookahead=*/0);
+    la::geqrf(eng, A1, T1, /*lookahead=*/2);
+    eng.wait();
+    expect_bitwise(A0, A1);
+
+    // potrf lookahead likewise (on a fresh HPD matrix).
+    TiledMatrix<T> P0 = gen::hpd_matrix<T>(eng, n, nb, 23);
+    TiledMatrix<T> P1(n, n, nb);
+    la::copy(eng, P0, P1);
+    eng.wait();
+    la::potrf(eng, Uplo::Lower, P0, /*lookahead=*/0);
+    la::potrf(eng, Uplo::Lower, P1, /*lookahead=*/3);
+    eng.wait();
+    expect_bitwise(P0, P1);
 }

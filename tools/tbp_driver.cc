@@ -39,7 +39,6 @@
 #include "perf/sched_report.hh"
 #include "core/qdwh.hh"
 #include "core/qdwh_mixed.hh"
-#include "device/executor.hh"
 #include "core/qdwh_svd.hh"
 #include "core/zolopd.hh"
 #include "gen/matgen.hh"
@@ -71,10 +70,7 @@ struct Args {
     int jobs = 200;            // --algo serve: batch size
     double rate = 0;           // arrival rate jobs/s (0 -> submit at once)
     bool fifo = false;         // serve: disable the QoS priority split
-    dev::Target target = dev::Target::Tasks;  // per-tile oracle or batched
-    bool target_set = false;   // --target given (serve: Auto when unset)
     int lookahead = 0;         // panel lookahead depth (geqrf/potrf)
-    int max_batch = 32;        // largest coalesced batch under --target batched
     // --- precision ladder (qdwh, zolo) ------------------------------------
     prec::Precision precision = prec::Precision::Native;  // --precision
     double rung_safety = 0;    // --rung-safety (0 = policy default)
@@ -125,16 +121,11 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "ring]\n"
                  "          [--comm-plan auto|2d|2.5d]\n"
                  "          [--jobs J] [--rate JOBS_PER_SEC] [--fifo]\n"
-                 "          [--target tasks|batched] [--lookahead D] "
-                 "[--max-batch B]\n"
+                 "          [--lookahead D]\n"
                  "          [--precision double|float|bf16|adaptive] "
                  "[--rung-safety S]\n"
                  "          [--tail-native K] [--compensated]\n"
                  "\n"
-                 "  --target batched coalesces same-shape tile ops into "
-                 "batched engine\n"
-                 "  tasks (SLATE Target::Devices analogue); tasks is the "
-                 "per-tile oracle.\n"
                  "  --lookahead D prioritizes trailing updates feeding the "
                  "next D panels.\n"
                  "  --precision puts qdwh/zolo/dqdwh on the precision ladder: "
@@ -208,21 +199,42 @@ Args parse(int argc, char** argv) {
             a.cond = std::atof(need("--cond"));
         } else if (!std::strcmp(argv[i], "--dist")) {
             std::string d = need("--dist");
-            a.dist = d == "arith"     ? gen::SigmaDist::Arithmetic
-                     : d == "cluster" ? gen::SigmaDist::ClusterAtOne
-                     : d == "loguni"  ? gen::SigmaDist::LogUniform
-                                      : gen::SigmaDist::Geometric;
+            if (d == "geom") {
+                a.dist = gen::SigmaDist::Geometric;
+            } else if (d == "arith") {
+                a.dist = gen::SigmaDist::Arithmetic;
+            } else if (d == "cluster") {
+                a.dist = gen::SigmaDist::ClusterAtOne;
+            } else if (d == "loguni") {
+                a.dist = gen::SigmaDist::LogUniform;
+            } else {
+                std::fprintf(stderr, "unknown --dist %s\n", d.c_str());
+                usage(argv[0]);
+            }
         } else if (!std::strcmp(argv[i], "--type")) {
             a.type = need("--type")[0];
         } else if (!std::strcmp(argv[i], "--mode")) {
             std::string m = need("--mode");
-            a.mode = m == "forkjoin" ? rt::Mode::ForkJoin
-                     : m == "seq"    ? rt::Mode::Sequential
-                                     : rt::Mode::TaskDataflow;
+            if (m == "task") {
+                a.mode = rt::Mode::TaskDataflow;
+            } else if (m == "forkjoin") {
+                a.mode = rt::Mode::ForkJoin;
+            } else if (m == "seq") {
+                a.mode = rt::Mode::Sequential;
+            } else {
+                std::fprintf(stderr, "unknown --mode %s\n", m.c_str());
+                usage(argv[0]);
+            }
         } else if (!std::strcmp(argv[i], "--sched")) {
             std::string sc = need("--sched");
-            a.sched = sc == "global" ? rt::Sched::GlobalQueue
-                                     : rt::Sched::WorkStealing;
+            if (sc == "steal") {
+                a.sched = rt::Sched::WorkStealing;
+            } else if (sc == "global") {
+                a.sched = rt::Sched::GlobalQueue;
+            } else {
+                std::fprintf(stderr, "unknown --sched %s\n", sc.c_str());
+                usage(argv[0]);
+            }
         } else if (!std::strcmp(argv[i], "--threads")) {
             a.threads = std::atoi(need("--threads"));
         } else if (!std::strcmp(argv[i], "--seed")) {
@@ -244,19 +256,8 @@ Args parse(int argc, char** argv) {
             a.rate = std::atof(need("--rate"));
         } else if (!std::strcmp(argv[i], "--fifo")) {
             a.fifo = true;
-        } else if (!std::strcmp(argv[i], "--target")) {
-            std::string t = need("--target");
-            if (t != "tasks" && t != "batched") {
-                std::fprintf(stderr, "unknown --target %s\n", t.c_str());
-                usage(argv[0]);
-            }
-            a.target = t == "batched" ? dev::Target::BatchedHost
-                                      : dev::Target::Tasks;
-            a.target_set = true;
         } else if (!std::strcmp(argv[i], "--lookahead")) {
             a.lookahead = std::atoi(need("--lookahead"));
-        } else if (!std::strcmp(argv[i], "--max-batch")) {
-            a.max_batch = std::atoi(need("--max-batch"));
         } else if (!std::strcmp(argv[i], "--precision")) {
             std::string p = need("--precision");
             if (p == "native" || p == "double") {
@@ -383,36 +384,25 @@ int run_tiled(Args const& a) {
     eng.reset_stats();
     double const kflops0 = blas::kernel::flops_performed();
 
-    std::uint64_t batch_ops = 0, batch_tasks = 0;
-    double coalescing = 0, stream_h2d = 0, stream_overlap = 0;
     std::vector<prec::Prec> rungs;
     std::array<double, prec::kNumPrec> prec_flops{};
     int fallbacks = 0;
     if (a.algo == "qdwh") {
         QdwhOptions qo;
-        qo.target = a.target;
         qo.lookahead = a.lookahead;
-        qo.max_batch = a.max_batch;
         qo.precision = make_policy(a);
         auto info = qdwh(eng, A, H, qo);
         iters = info.iterations;
         it_qr = info.it_qr;
         it_chol = info.it_chol;
         flops = info.flops;
-        batch_ops = info.tile_ops;
-        batch_tasks = info.engine_tasks;
-        coalescing = info.coalescing;
-        stream_h2d = info.stream_h2d_bytes;
-        stream_overlap = info.stream_overlap;
         rungs = info.rungs;
         prec_flops = info.kernel_flops_by_prec;
         fallbacks = info.fallbacks;
     } else if (a.algo == "zolo") {
         ZoloOptions zo;
         zo.r = a.r;
-        zo.target = a.target;
         zo.lookahead = a.lookahead;
-        zo.max_batch = a.max_batch;
         zo.precision = make_policy(a);
         auto info = zolo_pd(eng, A, H, zo);
         iters = info.iterations;
@@ -453,19 +443,13 @@ int run_tiled(Args const& a) {
     double const bwd = ref::diff_fro(UH, Ad) / ref::norm_fro(Ad);
 
     std::printf("algo=%-6s type=%c m=%lld n=%lld nb=%d cond=%.1e mode=%s "
-                "target=%s lookahead=%d\n",
+                "lookahead=%d\n",
                 a.algo.c_str(), a.type, static_cast<long long>(a.m),
                 static_cast<long long>(a.n), a.nb, a.cond,
                 a.mode == rt::Mode::TaskDataflow ? "task"
                 : a.mode == rt::Mode::ForkJoin   ? "forkjoin"
                                                  : "seq",
-                dev::target_name(a.target), a.lookahead);
-    if (batch_tasks > 0)
-        std::printf("  batched: %llu tile ops in %llu engine tasks "
-                    "(%.1fx coalescing)   h2d %.1f MB   overlap %.2f\n",
-                    static_cast<unsigned long long>(batch_ops),
-                    static_cast<unsigned long long>(batch_tasks), coalescing,
-                    stream_h2d / 1e6, stream_overlap);
+                a.lookahead);
     std::printf("  iterations %d (qr/solves %d, chol %d)   time %.3fs   "
                 "%.2f Gflop/s\n",
                 iters, it_qr, it_chol, secs, flops / secs / 1e9);
@@ -699,12 +683,6 @@ int run_serve(Args const& a) {
             s.timeout_ms = a.timeout_ms;
             s.retry_max = a.retry_max;
         }
-        // Default Auto routes Bulk jobs onto the batched executor; an
-        // explicit --target forces one path for the whole batch.
-        if (a.target_set)
-            s.target = a.target == dev::Target::BatchedHost
-                           ? svc::JobTarget::Batched
-                           : svc::JobTarget::Tasks;
         s.lookahead = a.lookahead;
         if (a.rate > 0) {
             double const u = arrivals.uniform(static_cast<std::uint64_t>(i));
