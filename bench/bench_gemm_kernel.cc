@@ -4,10 +4,11 @@
 // acceptance harness for the kernel layer and doubles as a retuning tool
 // after any change to Params<T> (see kernel/params.hh).
 //
-// A second sweep times the public entries of the tile kernels built on it
-// (herk, trsm, trmm, unmqr, tsmqr, ttmqr) at nb = 32, 64, 128 and 192, each
-// with its ratio to the packed gemm at the same nb: how close the
-// triangular and Householder kernels run to the gemm rate.
+// A second sweep times the tile kernels built on it (herk, trsm, trmm,
+// unmqr, tsmqr, ttmqr and the panel factorizations geqrt, tsqrt, ttqrt,
+// potrf) at nb = 32, 64, 128 and 192: the public entry, its *_naive element
+// loops and their ratio, and the public entry's ratio to the packed gemm at
+// the same nb, i.e. how close each kernel runs to the gemm rate.
 //
 // Usage:
 //   bench_gemm_kernel                 full sweep, console table +
@@ -17,7 +18,8 @@
 //                                     tile, asserts the micro path is no
 //                                     slower than naive and bit-level sane,
 //                                     and that every tile kernel's public
-//                                     entry matches its naive form at nb=64
+//                                     entry (panels included) matches its
+//                                     naive form at nb=64
 //
 // TBP_SIZES="64,128" overrides the gemm sweep sizes.
 
@@ -181,27 +183,38 @@ struct OwnedTile {
     }
 };
 
-/// One tile kernel as run by the sweep: writes X1 (and X2), whose inputs
-/// are restored before every call; `naive` selects the *_naive form.
+/// The kernel operands a TileKernel writes: X1 and X2 are loaded from the
+/// kernel's inputs before every call, X3 receives a T factor.
+template <typename T>
+struct Outputs {
+    OwnedTile<T> X1, X2, X3;
+    explicit Outputs(int nb) : X1(nb, 0), X2(nb, 0), X3(nb, 0) {}
+};
+
+/// One tile kernel as run by the sweep: `naive` selects the *_naive form;
+/// X1 starts as a copy of `in1` (the random C1 when null), X2 of C2.
 template <typename T>
 struct TileKernel {
     char const* name;
-    std::function<void(bool naive, Tile<T> const& X1, Tile<T> const& X2)> run;
+    std::function<void(bool naive, Outputs<T>& X)> run;
+    OwnedTile<T> const* in1 = nullptr;
 };
 
-/// Operands of the tile-kernel rows at one nb: random tiles, a Cholesky
-/// factor for trsm, and the V/T pairs of a geqrt, a tsqrt and a ttqrt.
+/// Operands of the tile-kernel rows at one nb: random tiles, a Hermitian
+/// positive definite tile P and its Cholesky factor L for trsm, and the V/T
+/// pairs of a geqrt, a tsqrt and a ttqrt.
 template <typename T>
 struct TileOperands {
-    OwnedTile<T> G, C1, C2, L, V, Tv, Rts, Vts, Tts, Rtt, Vtt, Ttt;
+    OwnedTile<T> G, C1, C2, P, L, V, Tv, Rts, Vts, Tts, Rtt, Vtt, Ttt;
 
     explicit TileOperands(int n)
-        : G(n, 1), C1(n, 2), C2(n, 3), L(n, 4), V(n, 5), Tv(n, 6),
+        : G(n, 1), C1(n, 2), C2(n, 3), P(n, 0), L(n, 4), V(n, 5), Tv(n, 6),
           Rts(n, 7), Vts(n, 8), Tts(n, 9), Rtt(n, 10), Vtt(n, 11),
           Ttt(n, 12) {
-        blas::gemm(Op::NoTrans, Op::ConjTrans, T(1), G.t, G.t, T(0), L.t);
+        blas::gemm(Op::NoTrans, Op::ConjTrans, T(1), G.t, G.t, T(0), P.t);
         for (int i = 0; i < n; ++i)
-            L.t(i, i) += T(n);
+            P.t(i, i) += T(n);
+        L.load(P);
         blas::potrf(Uplo::Lower, L.t);
         blas::geqrt(V.t, Tv.t);
         Rts.load(V);
@@ -217,84 +230,131 @@ struct TileOperands {
         auto const CT = Op::ConjTrans;
         return {
             {"herk",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::herk_naive<T> : blas::herk<T>)(
-                     Uplo::Lower, CT, R(1), G.t, R(0), X1);
+                     Uplo::Lower, CT, R(1), G.t, R(0), X.X1.t);
              }},
             {"trsm",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::trsm_naive<T> : blas::trsm<T>)(
                      Side::Right, Uplo::Lower, CT, Diag::NonUnit, T(1), L.t,
-                     X1);
+                     X.X1.t);
              }},
             {"trmm",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::trmm_naive<T> : blas::trmm<T>)(
-                     Uplo::Lower, CT, Diag::NonUnit, T(1), L.t, X1);
+                     Uplo::Lower, CT, Diag::NonUnit, T(1), L.t, X.X1.t);
              }},
             {"unmqr",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const&) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::unmqr_naive<T> : blas::unmqr<T>)(CT, V.t,
-                                                                 Tv.t, X1);
+                                                                 Tv.t, X.X1.t);
              }},
             {"tsmqr",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const& X2) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::tsmqr_naive<T> : blas::tsmqr<T>)(
-                     CT, Vts.t, Tts.t, X1, X2);
+                     CT, Vts.t, Tts.t, X.X1.t, X.X2.t);
              }},
             {"ttmqr",
-             [this](bool naive, Tile<T> const& X1, Tile<T> const& X2) {
+             [this](bool naive, Outputs<T>& X) {
                  (naive ? blas::ttmqr_naive<T> : blas::ttmqr<T>)(
-                     CT, Vtt.t, Ttt.t, X1, X2, false);
+                     CT, Vtt.t, Ttt.t, X.X1.t, X.X2.t, false);
              }},
+            {"geqrt",
+             [](bool naive, Outputs<T>& X) {
+                 (naive ? blas::geqrt_naive<T> : blas::geqrt<T>)(X.X1.t,
+                                                                 X.X3.t);
+             }},
+            {"tsqrt",
+             [](bool naive, Outputs<T>& X) {
+                 (naive ? blas::tsqrt_naive<T> : blas::tsqrt<T>)(
+                     X.X1.t, X.X2.t, X.X3.t);
+             }},
+            {"ttqrt",
+             [](bool naive, Outputs<T>& X) {
+                 (naive ? blas::ttqrt_naive<T> : blas::ttqrt<T>)(
+                     X.X1.t, X.X2.t, X.X3.t);
+             }},
+            {"potrf",
+             [](bool naive, Outputs<T>& X) {
+                 (naive ? blas::potrf_naive<T> : blas::potrf<T>)(Uplo::Lower,
+                                                                 X.X1.t);
+             },
+             &P},
         };
+    }
+
+    /// Load a kernel's inputs into X.
+    void restore(TileKernel<T> const& k, Outputs<T>& X) const {
+        X.X1.load(k.in1 ? *k.in1 : C1);
+        X.X2.load(C2);
     }
 };
 
-/// GF/s of `call` from the flops it charges to the measured-rate counter,
-/// timing only the call (`restore` resets its inputs outside the clock);
-/// one warm-up call, then at least ~0.12 s of calls.
+/// Seconds per call of `call`, timing only the call (`restore` resets its
+/// inputs outside the clock); one warm-up call, then at least ~0.12 s of
+/// calls.
 template <typename Restore, typename Call>
-double tile_rate(Restore&& restore, Call&& call) {
+double tile_seconds(Restore&& restore, Call&& call) {
     restore();
     call();
-    double busy = 0, fl = 0;
-    for (int reps = 0; busy < 0.12 || reps < 3; ++reps) {
+    double busy = 0;
+    int reps = 0;
+    for (; busy < 0.12 || reps < 3; ++reps) {
         restore();
-        double const f0 = blas::kernel::flops_performed();
         Timer t;
         call();
         busy += t.elapsed();
-        fl += blas::kernel::flops_performed() - f0;
     }
-    return fl / busy / 1e9;
+    return busy / reps;
+}
+
+/// Real flops one call of `call` charges to the measured-rate counter.
+template <typename Call>
+double charged_flops(Call&& call) {
+    double const f0 = blas::kernel::flops_performed();
+    call();
+    return blas::kernel::flops_performed() - f0;
 }
 
 template <typename T>
 void run_tile_kernels(std::vector<int> const& nbs, bench::JsonEmitter& out) {
     for (int nb : nbs) {
         TileOperands<T> ops(nb);
-        OwnedTile<T> X1(nb, 0), X2(nb, 0);
-        auto restore = [&] {
-            X1.load(ops.C1);
-            X2.load(ops.C2);
-        };
-        double const gemm_gf = tile_rate(restore, [&] {
+        Outputs<T> X(nb);
+        auto gemm = [&] {
             blas::gemm(Op::NoTrans, Op::NoTrans, T(1), ops.G.t, ops.C2.t,
-                       T(0.5), X1.t);
-        });
+                       T(0.5), X.X1.t);
+        };
+        double const gemm_gf =
+            charged_flops(gemm)
+            / tile_seconds([&] { X.X1.load(ops.C1); }, gemm) / 1e9;
         for (auto const& k : ops.kernels()) {
-            double const gf =
-                tile_rate(restore, [&] { k.run(false, X1.t, X2.t); });
+            // The naive forms charge nothing: both rates use the public
+            // entry's charge.
+            ops.restore(k, X);
+            double const fl = charged_flops([&] { k.run(false, X); });
+            auto rate = [&](bool naive) {
+                return fl
+                       / tile_seconds([&] { ops.restore(k, X); },
+                                      [&] { k.run(naive, X); })
+                       / 1e9;
+            };
+            double const gf = rate(false);
+            double const naive_gf = rate(true);
             double const ratio = gemm_gf > 0 ? gf / gemm_gf : 0.0;
-            std::printf("  %s nb=%4d  %-5s %7.2f GF/s  (%.2f of gemm at "
-                        "%.2f GF/s)\n",
-                        type_name(T{}), nb, k.name, gf, ratio, gemm_gf);
+            double const speedup = naive_gf > 0 ? gf / naive_gf : 0.0;
+            std::printf("  %s nb=%4d  %-5s %7.2f GF/s  naive %6.2f (%5.2fx)  "
+                        "(%.2f of gemm at %.2f GF/s)\n",
+                        type_name(T{}), nb, k.name, gf, naive_gf, speedup,
+                        ratio, gemm_gf);
             bench::JsonRecord r;
             r.field("op", k.name)
                 .field("type", type_name(T{}))
                 .field("nb", nb)
                 .field("gflops", gf)
+                .field("naive_gflops", naive_gf)
+                .field("naive_ratio", speedup)
                 .field("gemm_gflops", gemm_gf)
                 .field("gemm_ratio", ratio);
             out.add(r);
@@ -303,19 +363,18 @@ void run_tile_kernels(std::vector<int> const& nbs, bench::JsonEmitter& out) {
 }
 
 /// Max |public - naive| of every tile kernel at nb, relative to the naive
-/// result's magnitude, over both outputs.
+/// result's magnitude, over all its outputs.
 template <typename T>
 bool tile_kernels_match(int nb, double tol) {
     TileOperands<T> ops(nb);
-    OwnedTile<T> X1(nb, 0), X2(nb, 0), Y1(nb, 0), Y2(nb, 0);
+    Outputs<T> X(nb), Y(nb);
     bool ok = true;
     for (auto const& k : ops.kernels()) {
-        X1.load(ops.C1);
-        X2.load(ops.C2);
-        Y1.load(ops.C1);
-        Y2.load(ops.C2);
-        k.run(true, Y1.t, Y2.t);
-        k.run(false, X1.t, X2.t);
+        ops.restore(k, X);
+        ops.restore(k, Y);
+        X.X3.load(Y.X3);
+        k.run(true, Y);
+        k.run(false, X);
         double dmax = 0, vmax = 0;
         auto accumulate = [&](OwnedTile<T> const& x, OwnedTile<T> const& y) {
             for (std::size_t i = 0; i < y.v.size(); ++i) {
@@ -324,8 +383,9 @@ bool tile_kernels_match(int nb, double tol) {
                 vmax = std::max(vmax, static_cast<double>(std::abs(y.v[i])));
             }
         };
-        accumulate(X1, Y1);
-        accumulate(X2, Y2);
+        accumulate(X.X1, Y.X1);
+        accumulate(X.X2, Y.X2);
+        accumulate(X.X3, Y.X3);
         double const rel = vmax > 0 ? dmax / vmax : dmax;
         std::printf("smoke: %s nb=%d %-5s public vs naive maxdiff %.2e\n",
                     type_name(T{}), nb, k.name, rel);

@@ -5,7 +5,10 @@
 //   - jobs/sec and p50/p99 latency per QoS class (Latency vs Bulk) for a
 //     mixed qdwh/zolopd/posv/geqrf workload across all four scalar types;
 //   - an A/B of the QoS scheduler against a FIFO baseline under bulk
-//     overload: Latency-class p99 must be measurably below FIFO's;
+//     overload: Latency-class p99 must be measurably below FIFO's. The two
+//     runs are interleaved over the two halves of the job stream in ABBA
+//     order (qos, fifo, fifo, qos) and each pools its samples, so a change
+//     in host load during the bench lands on both schedulers alike;
 //   - zero cross-job corruption: every successful job's output bytes are
 //     compared bit-for-bit against a single-job oracle run of the same
 //     spec (counter-based generation + per-job sequential engines make
@@ -57,23 +60,46 @@ struct ClassStats {
     double p50 = 0, p99 = 0;
 };
 
+/// One scheduler's results, pooled over the slices of the job stream it
+/// ran.
 struct RunOut {
-    double wall = 0;
-    double jobs_per_sec = 0;
-    ClassStats latency, bulk;
+    double wall = 0;                ///< summed over the slices
+    std::uint64_t jobs = 0;
+    std::vector<double> lat_l, lat_b;  ///< latency samples per class
     std::uint64_t mismatches = 0;       ///< oracle byte or status mismatches
     std::uint64_t expected_failures = 0;
-    std::size_t workspaces = 0;
+    std::size_t workspaces = 0;        ///< largest pool of any slice
     std::uint64_t retried_jobs = 0;    ///< jobs that needed > 1 attempt
     std::uint64_t recovered_jobs = 0;  ///< retried jobs that ended Ok
+
+    void add(RunOut const& o) {
+        wall += o.wall;
+        jobs += o.jobs;
+        lat_l.insert(lat_l.end(), o.lat_l.begin(), o.lat_l.end());
+        lat_b.insert(lat_b.end(), o.lat_b.begin(), o.lat_b.end());
+        mismatches += o.mismatches;
+        expected_failures += o.expected_failures;
+        workspaces = std::max(workspaces, o.workspaces);
+        retried_jobs += o.retried_jobs;
+        recovered_jobs += o.recovered_jobs;
+    }
+    double jobs_per_sec() const { return wall > 0 ? jobs / wall : 0; }
+    ClassStats latency() const {
+        return {static_cast<std::uint64_t>(lat_l.size()),
+                percentile(lat_l, 0.50), percentile(lat_l, 0.99)};
+    }
+    ClassStats bulk() const {
+        return {static_cast<std::uint64_t>(lat_b.size()),
+                percentile(lat_b, 0.50), percentile(lat_b, 0.99)};
+    }
 };
 
-// One full service run: Poisson arrivals at `rate` jobs/sec, every 16th
-// job in the Latency class, verification of every result against the
-// oracle table.
+// One service run over jobs [first, first + jobs) of the stream: Poisson
+// arrivals at `rate` jobs/sec, every 16th job in the Latency class,
+// verification of every result against the oracle table.
 RunOut run_batch(std::vector<SpecCase> const& cases,
-                 std::vector<Oracle> const& oracles, int jobs, int threads,
-                 double rate, bool fifo) {
+                 std::vector<Oracle> const& oracles, int first, int jobs,
+                 int threads, double rate, bool fifo) {
     rt::Engine eng(threads);
     svc::ServiceOptions so;
     so.fifo = fifo;
@@ -84,7 +110,7 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
     CounterRng arrivals(0xA221);
     double const t0 = wall_time();
     double t_arr = 0;
-    for (int i = 0; i < jobs; ++i) {
+    for (int i = first; i < first + jobs; ++i) {
         auto const d = static_cast<size_t>(i) % cases.size();
         svc::JobSpec s = cases[d].spec;
         s.cls = (i % 16 == 0) ? svc::JobClass::Latency : svc::JobClass::Bulk;
@@ -97,13 +123,14 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
     service.wait_all();
 
     RunOut out;
-    std::vector<double> lat_l, lat_b;
+    out.jobs = static_cast<std::uint64_t>(jobs);
     double t_last = t0;
-    for (int i = 0; i < jobs; ++i) {
+    for (int i = first; i < first + jobs; ++i) {
         auto const d = static_cast<size_t>(i) % cases.size();
-        auto const& res = handles[static_cast<size_t>(i)].result();
+        auto const& h = handles[static_cast<size_t>(i - first)];
+        auto const& res = h.result();
         t_last = std::max(t_last, res.t_end);
-        (res.cls == svc::JobClass::Latency ? lat_l : lat_b)
+        (res.cls == svc::JobClass::Latency ? out.lat_l : out.lat_b)
             .push_back(res.latency());
         if (cases[d].expect != Status::Ok) {
             // A failing job must report exactly its failure — and nothing
@@ -118,7 +145,6 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
             ++out.mismatches;
             continue;
         }
-        auto const& h = handles[static_cast<size_t>(i)];
         bool const same_u =
             h.output_bytes(svc::Workspace::OutU) == oracles[d].u.size()
             && std::memcmp(h.output(svc::Workspace::OutU), oracles[d].u.data(),
@@ -131,11 +157,6 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
             ++out.mismatches;
     }
     out.wall = t_last - t0;
-    out.jobs_per_sec = out.wall > 0 ? jobs / out.wall : 0;
-    out.latency = {static_cast<std::uint64_t>(lat_l.size()),
-                   percentile(lat_l, 0.50), percentile(lat_l, 0.99)};
-    out.bulk = {static_cast<std::uint64_t>(lat_b.size()),
-                percentile(lat_b, 0.50), percentile(lat_b, 0.99)};
     auto const st = service.stats();
     out.workspaces = st.workspaces_created;
     out.retried_jobs = st.retried_jobs;
@@ -144,22 +165,22 @@ RunOut run_batch(std::vector<SpecCase> const& cases,
 }
 
 void report(char const* name, RunOut const& r, bench::JsonEmitter& out) {
+    ClassStats const lat = r.latency(), bulk = r.bulk();
     std::printf("%-5s %7.0f jobs/s  wall %.2fs  latency-class p50 %7.2fms "
                 "p99 %7.2fms  bulk p50 %7.2fms p99 %7.2fms  ws %zu  "
                 "mismatch %llu\n",
-                name, r.jobs_per_sec, r.wall, r.latency.p50 * 1e3,
-                r.latency.p99 * 1e3, r.bulk.p50 * 1e3, r.bulk.p99 * 1e3,
-                r.workspaces,
+                name, r.jobs_per_sec(), r.wall, lat.p50 * 1e3, lat.p99 * 1e3,
+                bulk.p50 * 1e3, bulk.p99 * 1e3, r.workspaces,
                 static_cast<unsigned long long>(r.mismatches));
     bench::JsonRecord rec;
     rec.field("bench", "throughput").field("sched", name);
-    rec.field("jobs_per_sec", r.jobs_per_sec).field("wall_s", r.wall);
-    rec.field("latency_jobs", r.latency.jobs)
-        .field("latency_p50_s", r.latency.p50)
-        .field("latency_p99_s", r.latency.p99);
-    rec.field("bulk_jobs", r.bulk.jobs)
-        .field("bulk_p50_s", r.bulk.p50)
-        .field("bulk_p99_s", r.bulk.p99);
+    rec.field("jobs_per_sec", r.jobs_per_sec()).field("wall_s", r.wall);
+    rec.field("latency_jobs", lat.jobs)
+        .field("latency_p50_s", lat.p50)
+        .field("latency_p99_s", lat.p99);
+    rec.field("bulk_jobs", bulk.jobs)
+        .field("bulk_p50_s", bulk.p50)
+        .field("bulk_p99_s", bulk.p99);
     rec.field("oracle_mismatches", r.mismatches)
         .field("expected_failures", r.expected_failures)
         .field("retried_jobs", r.retried_jobs)
@@ -216,16 +237,23 @@ int main(int argc, char** argv) {
                 "%.0f jobs/s  jobs %d\n",
                 threads, cases.size(), mean_t * 1e3, rate, jobs);
 
-    auto const qos = run_batch(cases, oracles, jobs, threads, rate, false);
-    auto const fifo = run_batch(cases, oracles, jobs, threads, rate, true);
+    // ABBA over the two halves of the job stream: each scheduler runs every
+    // job once, and both see the start and the end of the bench.
+    int const half = jobs / 2;
+    RunOut qos, fifo;
+    qos.add(run_batch(cases, oracles, 0, half, threads, rate, false));
+    fifo.add(run_batch(cases, oracles, 0, half, threads, rate, true));
+    fifo.add(run_batch(cases, oracles, half, jobs - half, threads, rate, true));
+    qos.add(run_batch(cases, oracles, half, jobs - half, threads, rate, false));
 
     bench::JsonEmitter out;
     report("qos", qos, out);
     report("fifo", fifo, out);
-    double const ratio =
-        qos.latency.p99 > 0 ? fifo.latency.p99 / qos.latency.p99 : 0;
+    double const qos_p99 = qos.latency().p99;
+    double const fifo_p99 = fifo.latency().p99;
+    double const ratio = qos_p99 > 0 ? fifo_p99 / qos_p99 : 0;
     std::printf("latency-class p99: qos %.2fms vs fifo %.2fms (%.1fx)\n",
-                qos.latency.p99 * 1e3, fifo.latency.p99 * 1e3, ratio);
+                qos_p99 * 1e3, fifo_p99 * 1e3, ratio);
     {
         bench::JsonRecord rec;
         rec.field("bench", "throughput").field("sched", "ab");
@@ -248,7 +276,7 @@ int main(int argc, char** argv) {
         check(fifo.mismatches == 0, "fifo run had oracle/status mismatches");
         check(qos.expected_failures >= expect_fail_per_pass,
               "deliberate failures missing from the qos run");
-        check(qos.latency.p99 < fifo.latency.p99,
+        check(qos_p99 < fifo_p99,
               "QoS latency-class p99 not below the FIFO baseline");
         std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
         return ok ? 0 : 1;

@@ -1,4 +1,5 @@
-// MR x NR register-blocked micro-kernel bodies.
+// MR x NR register-blocked micro-kernel bodies, and the register-blocked
+// loops of the trsm base case.
 //
 // This translation unit is compiled at -O3 -funroll-loops (see
 // src/CMakeLists.txt) while the rest of the tree keeps the default flags,
@@ -114,5 +115,101 @@ TBP_DEFINE_CPLX_UKERNEL(double)
 #undef TBP_DEFINE_CPLX_UKERNEL
 #undef TBP_REAL_UKERNEL_BODY
 #undef TBP_CPLX_UKERNEL_BODY
+
+// trsm_right_upper: `rows` rows of B starting at `bb`, column by column:
+// y = B(:, j) - sum_{l < j} X(:, l) U(l, j), then X(:, j) = y * (1 / U(j, j)).
+// Full blocks use the constant kTrsmRows so y stays in vector registers;
+// the last partial block runs the same loops at its runtime height.
+constexpr int kTrsmRows = 2 * kTriBase;
+
+#define TBP_REAL_TRSM_BODY(T, rows)                                          \
+    for (int j = 0; j < n; ++j) {                                            \
+        T* bj = bb + j * ldb;                                                \
+        T y[kTrsmRows];                                                      \
+        for (int v = 0; v < (rows); ++v)                                     \
+            y[v] = bj[v];                                                    \
+        for (int l = 0; l < j; ++l) {                                        \
+            T const s = u[l + j * kTriBase];                                 \
+            T const* bl = bb + l * ldb;                                      \
+            for (int v = 0; v < (rows); ++v)                                 \
+                y[v] -= bl[v] * s;                                           \
+        }                                                                    \
+        T const r = u[j + j * kTriBase];                                     \
+        for (int v = 0; v < (rows); ++v)                                     \
+            bj[v] = y[v] * r;                                                \
+    }
+
+#define TBP_DEFINE_REAL_TRSM(T)                                              \
+    TBP_KERNEL_CLONES                                                        \
+    void trsm_right_upper(int m, int n, T const* __restrict u,               \
+                          T* __restrict b, std::ptrdiff_t ldb) {             \
+        int i0 = 0;                                                          \
+        for (; i0 + kTrsmRows <= m; i0 += kTrsmRows) {                       \
+            T* bb = b + i0;                                                  \
+            TBP_REAL_TRSM_BODY(T, kTrsmRows)                                 \
+        }                                                                    \
+        if (i0 < m) {                                                        \
+            int const mb = m - i0;                                           \
+            T* bb = b + i0;                                                  \
+            TBP_REAL_TRSM_BODY(T, mb)                                        \
+        }                                                                    \
+    }
+
+// Complex: the same loops on the interleaved real/imaginary parts, with the
+// products spelled out (no library call for NaN-safe complex multiply).
+#define TBP_CPLX_TRSM_BODY(R, rows)                                          \
+    for (int j = 0; j < n; ++j) {                                            \
+        R* bj = bb + 2 * j * ldb;                                            \
+        R yr[kTrsmRows], yi[kTrsmRows];                                      \
+        for (int v = 0; v < (rows); ++v) {                                   \
+            yr[v] = bj[2 * v];                                               \
+            yi[v] = bj[2 * v + 1];                                           \
+        }                                                                    \
+        for (int l = 0; l < j; ++l) {                                        \
+            R const sr = ur[2 * (l + j * kTriBase)];                         \
+            R const si = ur[2 * (l + j * kTriBase) + 1];                     \
+            R const* bl = bb + 2 * l * ldb;                                  \
+            for (int v = 0; v < (rows); ++v) {                               \
+                R const xr = bl[2 * v];                                      \
+                R const xi = bl[2 * v + 1];                                  \
+                yr[v] -= xr * sr - xi * si;                                  \
+                yi[v] -= xr * si + xi * sr;                                  \
+            }                                                                \
+        }                                                                    \
+        R const rr = ur[2 * (j + j * kTriBase)];                             \
+        R const ri = ur[2 * (j + j * kTriBase) + 1];                         \
+        for (int v = 0; v < (rows); ++v) {                                   \
+            bj[2 * v] = yr[v] * rr - yi[v] * ri;                             \
+            bj[2 * v + 1] = yr[v] * ri + yi[v] * rr;                         \
+        }                                                                    \
+    }
+
+#define TBP_DEFINE_CPLX_TRSM(R)                                              \
+    TBP_KERNEL_CLONES                                                        \
+    void trsm_right_upper(int m, int n, std::complex<R> const* u,            \
+                          std::complex<R>* b, std::ptrdiff_t ldb) {          \
+        R const* __restrict ur = reinterpret_cast<R const*>(u);              \
+        R* __restrict br = reinterpret_cast<R*>(b);                          \
+        int i0 = 0;                                                          \
+        for (; i0 + kTrsmRows <= m; i0 += kTrsmRows) {                       \
+            R* bb = br + 2 * i0;                                             \
+            TBP_CPLX_TRSM_BODY(R, kTrsmRows)                                 \
+        }                                                                    \
+        if (i0 < m) {                                                        \
+            int const mb = m - i0;                                           \
+            R* bb = br + 2 * i0;                                             \
+            TBP_CPLX_TRSM_BODY(R, mb)                                        \
+        }                                                                    \
+    }
+
+TBP_DEFINE_REAL_TRSM(float)
+TBP_DEFINE_REAL_TRSM(double)
+TBP_DEFINE_CPLX_TRSM(float)
+TBP_DEFINE_CPLX_TRSM(double)
+
+#undef TBP_DEFINE_REAL_TRSM
+#undef TBP_DEFINE_CPLX_TRSM
+#undef TBP_REAL_TRSM_BODY
+#undef TBP_CPLX_TRSM_BODY
 
 }  // namespace tbp::blas::kernel

@@ -1,5 +1,6 @@
-// Register-blocked MR x NR GEMM micro-kernels (definitions in
-// microkernel.cc, compiled separately at -O3 with runtime ISA dispatch).
+// Register-blocked MR x NR GEMM micro-kernels and the trsm base-case kernel
+// (definitions in microkernel.cc, compiled separately at -O3 with runtime
+// ISA dispatch).
 //
 // Contract: `a` is a packed A strip (kc steps of MR contiguous scalars),
 // `b` a packed B strip (kc steps of NR scalars), both zero-padded to full
@@ -21,6 +22,7 @@
 #pragma once
 
 #include <complex>
+#include <cstddef>
 
 namespace tbp::blas::kernel {
 
@@ -43,5 +45,22 @@ void ukernel_fringe(int kc, std::complex<float> alpha, float const* a,
 void ukernel_fringe(int kc, std::complex<double> alpha, double const* a,
                     double const* b, std::complex<double>* c, int ldc,
                     int m, int n);
+
+/// Base-case triangular solve with the right-hand side on the right:
+/// X * U = B in place, for the m-by-n block B at `b` (column stride ldb,
+/// which may be negative so that a caller can run the columns backwards),
+/// n <= kTriBase. U is upper triangular, packed column-major with leading
+/// dimension kTriBase, and holds the reciprocals of its diagonal, so the
+/// solve never divides. Rows go in register blocks of 2 * kTriBase: each
+/// column of a block is accumulated in registers over the columns before
+/// it, then scaled and stored once.
+void trsm_right_upper(int m, int n, float const* u, float* b,
+                      std::ptrdiff_t ldb);
+void trsm_right_upper(int m, int n, double const* u, double* b,
+                      std::ptrdiff_t ldb);
+void trsm_right_upper(int m, int n, std::complex<float> const* u,
+                      std::complex<float>* b, std::ptrdiff_t ldb);
+void trsm_right_upper(int m, int n, std::complex<double> const* u,
+                      std::complex<double>* b, std::ptrdiff_t ldb);
 
 }  // namespace tbp::blas::kernel

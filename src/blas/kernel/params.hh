@@ -23,8 +23,9 @@
 //
 // Two size thresholds route the tile kernels onto this layer:
 // kGemmCrossover for gemm itself, and kTriBase, the base case of the
-// recursive triangular kernels and the Householder appliers, so a tile of
-// 32 or more spends most of its flops in the micro-kernel.
+// recursive triangular kernels, the recursive panel factorizations and the
+// Householder appliers' T product, so a tile of 32 or more spends most of
+// its flops in the micro-kernel.
 
 #pragma once
 
@@ -61,10 +62,12 @@ struct Params<std::complex<double>> {
 };
 
 /// Base case of the recursive triangular kernels in level3.hh (trsm, trmm,
-/// herk) and of the Householder appliers' T-factor product: a triangular
-/// dimension at or below it runs the naive element loops (herk's diagonal
-/// blocks instead go through gemm into a workspace), anything larger is
-/// halved with a GEMM update between the halves.
+/// herk), of the recursive panels (geqrt, tsqrt, ttqrt in householder.hh,
+/// potrf in factor.hh) and of the Householder appliers' T-factor product:
+/// a triangular or column dimension at or below it runs the naive element
+/// loops (herk's diagonal blocks instead go through gemm into a workspace,
+/// trsm's through trsm_base), anything larger is halved with GEMM work
+/// between the halves.
 inline constexpr int kTriBase = 16;
 
 /// Below this m*n*k volume the packed path's setup cost is not worth it and

@@ -5,24 +5,28 @@
 // selects an implicit unit diagonal.
 //
 // Each kernel exists in two forms sharing one public entry point:
-//   *_naive     - the original element loops, kept as the tested reference
-//                 and used as the recursion's base case.
+//   *_naive     - the original element loops, kept as the tested reference.
 //   *_recursive - halves the triangular dimension until it is at most
 //                 kernel::kTriBase (16), with one GEMM update between the
 //                 halves routed through the packed micro-kernel layer
-//                 (blas/kernel/). trsm and trmm solve/multiply the base-case
-//                 diagonal blocks naively, which keeps about kTriBase / n of
-//                 their flops (a quarter at n = 64) in the element loops;
-//                 herk computes each diagonal block by GEMM into an arena
-//                 workspace and merges only its triangle, so all its flops
-//                 are GEMM flops.
+//                 (blas/kernel/). About kTriBase / n of trsm's and trmm's
+//                 flops (a quarter at n = 64) sit in the base-case diagonal
+//                 blocks. trmm multiplies them with trmm_naive; trsm solves
+//                 them with trsm_base, which packs op(A) with its reciprocal
+//                 diagonal once and, for right-hand sides on the right,
+//                 hands it to the register-blocked kernel::trsm_right_upper
+//                 (compiled at -O3 with the micro-kernels), so the base
+//                 case runs vectorized and divides nowhere. herk computes
+//                 each diagonal block by GEMM into an arena workspace and
+//                 merges only its triangle, so all its flops are GEMM flops.
 // A tile at or below the base case runs the naive loops whole, as does every
 // tile when TBP_NAIVE_BLAS is set; the public entry charges the call's flops
-// to the measured-rate counter either way.
+// to the measured-rate counter either way. The recursive Cholesky
+// (factor.hh) is built from trsm_recursive and herk_recursive.
 //
 // Precision: under a bf16 execution mode (prec::exec_gemm_mode) the GEMM
 // updates inside these kernels are truncated to bf16 at pack, like any other
-// float gemm; only the naive base cases run in fp32. Before the recursion,
+// float gemm; only the base cases run in fp32. Before the recursion,
 // a 64-wide tile ran entirely in the naive fp32 loops while charge_prec
 // already charged its flops as bf16.
 
@@ -30,6 +34,7 @@
 
 #include "blas/gemm.hh"
 #include "blas/kernel/arena.hh"
+#include "blas/kernel/microkernel.hh"
 #include "blas/kernel/params.hh"
 #include "blas/kernel/stats.hh"
 #include "common/flops.hh"
@@ -221,10 +226,81 @@ Tile<T> op_sub(Op op, Tile<T> const& A, int i0, int j0, int mi, int nj) {
 
 }  // namespace detail
 
+/// Base case of trsm_recursive (triangular dimension na <= kTriBase), same
+/// contract as trsm_naive. op(A) is packed once into a column-major
+/// kTriBase^2 buffer with the conjugation applied and the diagonal replaced
+/// by its reciprocals, so the solve divides nowhere. On the right (all of
+/// QDWH's solves) the packed triangle goes to kernel::trsm_right_upper,
+/// which keeps blocks of B's rows in vector registers; an effectively lower
+/// op(A) is packed reversed and solved over B's columns backwards. On the
+/// left each column of B is a forward or backward substitution by column
+/// axpys of length below na.
+template <typename T>
+void trsm_base(Side side, Uplo uplo, Op op, Diag diag, T alpha,
+               Tile<T> const& A, Tile<T> const& B) {
+    constexpr int K = kernel::kTriBase;
+    int const m = B.mb();
+    int const n = B.nb();
+    bool const left = (side == Side::Left);
+    int const na = left ? m : n;
+    tbp_require(A.mb() == na && A.nb() == na && na <= K);
+    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+    // The right side's lower case runs reversed: u(i, j) = op(A)(r(i), r(j)).
+    bool const reverse = !left && !eff_upper;
+    auto r = [&](int i) { return reverse ? na - 1 - i : i; };
+    auto opa = [&](int i, int j) {
+        return (op == Op::NoTrans) ? A(i, j) : apply_op(op, A(j, i));
+    };
+
+    // u = the effective triangle of op(A) (upper unless on the left with a
+    // lower op(A)), reciprocal diagonal (1 for a unit diagonal).
+    T u[K * K];
+    bool const pack_upper = eff_upper || reverse;
+    for (int j = 0; j < na; ++j) {
+        int const ilo = pack_upper ? 0 : j + 1;
+        int const ihi = pack_upper ? j : na;
+        for (int i = ilo; i < ihi; ++i)
+            u[i + j * K] = opa(r(i), r(j));
+        u[j + j * K] =
+            (diag == Diag::Unit) ? T(1) : T(1) / opa(r(j), r(j));
+    }
+
+    if (alpha != T(1)) {
+        for (int j = 0; j < n; ++j)
+            for (int i = 0; i < m; ++i)
+                B(i, j) = (alpha == T(0)) ? T(0) : alpha * B(i, j);
+    }
+
+    if (!left) {
+        std::ptrdiff_t const ld = B.ld();
+        kernel::trsm_right_upper(m, n, u, &B(0, reverse ? n - 1 : 0),
+                                 reverse ? -ld : ld);
+        return;
+    }
+    for (int j = 0; j < n; ++j) {
+        T* b = &B(0, j);
+        if (!eff_upper) {
+            for (int l = 0; l < m; ++l) {
+                T const x = b[l] * u[l + l * K];
+                b[l] = x;
+                for (int i = l + 1; i < m; ++i)
+                    b[i] -= u[i + l * K] * x;
+            }
+        } else {
+            for (int l = m - 1; l >= 0; --l) {
+                T const x = b[l] * u[l + l * K];
+                b[l] = x;
+                for (int i = 0; i < l; ++i)
+                    b[i] -= u[i + l * K] * x;
+            }
+        }
+    }
+}
+
 /// Recursive trsm: solve with the half of op(A) that comes first in the
 /// substitution order, fold the solution into the other half's right-hand
 /// sides with one GEMM (whose beta applies alpha to that half), then solve
-/// with the other half at alpha = 1. Base case: trsm_naive.
+/// with the other half at alpha = 1. Base case: trsm_base.
 template <typename T>
 void trsm_recursive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
                     Tile<T> const& A, Tile<T> const& B) {
@@ -234,7 +310,7 @@ void trsm_recursive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
     int const na = left ? m : n;
     tbp_require(A.mb() == na && A.nb() == na);
     if (na <= kernel::kTriBase) {
-        trsm_naive(side, uplo, op, diag, alpha, A, B);
+        trsm_base(side, uplo, op, diag, alpha, A, B);
         return;
     }
 
@@ -269,7 +345,8 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
           Tile<T> const& A, Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
-    if (kernel::use_naive())
+    int const na = (side == Side::Left) ? m : n;
+    if (kernel::use_naive() || na <= kernel::kTriBase)
         trsm_naive(side, uplo, op, diag, alpha, A, B);
     else
         trsm_recursive(side, uplo, op, diag, alpha, A, B);
@@ -345,21 +422,13 @@ void trmm_recursive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
                    B.sub(s0, 0, sn, n));
 }
 
-/// Path selection without flop accounting (for composite kernels that
-/// charge aggregate counts, e.g. the Householder appliers).
 template <typename T>
-void trmm_dispatch(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-                   Tile<T> const& B) {
+void trmm(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
+          Tile<T> const& B) {
     if (kernel::use_naive())
         trmm_naive(uplo, op, diag, alpha, A, B);
     else
         trmm_recursive(uplo, op, diag, alpha, A, B);
-}
-
-template <typename T>
-void trmm(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-          Tile<T> const& B) {
-    trmm_dispatch(uplo, op, diag, alpha, A, B);
     kernel::count_flops(flops::trmm(B.mb(), B.nb()) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }

@@ -1,4 +1,5 @@
-// Tile-level Cholesky kernel: L L^H reconstruction and HPD failure path.
+// Tile-level Cholesky kernel: L L^H reconstruction and HPD failure path,
+// the latter also through both halves of the recursion at n = 64.
 
 #include <gtest/gtest.h>
 
@@ -70,19 +71,40 @@ TYPED_TEST(BlasFactor, DiagonalIsPositive) {
 
 TYPED_TEST(BlasFactor, IndefiniteThrows) {
     using T = TypeParam;
-    int const n = 4;
-    ref::Dense<T> A(n, n);
-    for (int i = 0; i < n; ++i)
-        A(i, i) = T(1);
-    A(2, 2) = T(-1);  // indefinite
-    EXPECT_THROW(blas::potrf(Uplo::Lower, as_tile(A)), Error);
+    // n = 4 runs the element loops; at n = 64 the bad pivot sits in the
+    // first (index 5) or the second (index 40) half of the recursion.
+    struct Case {
+        int n, bad;
+    };
+    for (Case c : {Case{4, 2}, Case{64, 5}, Case{64, 40}})
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            ref::Dense<T> A(c.n, c.n);
+            for (int i = 0; i < c.n; ++i)
+                A(i, i) = T(1);
+            A(c.bad, c.bad) = T(-1);  // indefinite
+            EXPECT_THROW(blas::potrf(uplo, as_tile(A)), Error)
+                << "n=" << c.n << " pivot " << c.bad;
+        }
 }
 
 TYPED_TEST(BlasFactor, SingularThrows) {
     using T = TypeParam;
-    int const n = 3;
-    ref::Dense<T> A(n, n);  // all zeros
-    EXPECT_THROW(blas::potrf(Uplo::Lower, as_tile(A)), Error);
+    {
+        int const n = 3;
+        ref::Dense<T> A(n, n);  // all zeros
+        EXPECT_THROW(blas::potrf(Uplo::Lower, as_tile(A)), Error);
+    }
+    // A diagonal matrix with one zero pivot, in the first (bad = 10) or the
+    // second (bad = 40) half of the recursion.
+    int const n = 64;
+    for (int bad : {10, 40})
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            ref::Dense<T> A(n, n);
+            for (int i = 0; i < n; ++i)
+                A(i, i) = (i == bad) ? T(0) : T(4);
+            EXPECT_THROW(blas::potrf(uplo, as_tile(A)), Error)
+                << "pivot " << bad;
+        }
 }
 
 TYPED_TEST(BlasFactor, OneByOne) {

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <limits>
 
+#include "blas/factor.hh"
 #include "blas/gemm.hh"
 #include "blas/householder.hh"
 #include "blas/level3.hh"
@@ -451,11 +452,11 @@ ref::Dense<T> nan_dense(int m, int n) {
 /// A1(0:c, c) = 0, A1(c, c) real and A2's column zero, so the reflectors
 /// before it leave it alone and its own reflector has tau == 0.
 template <typename T>
-void identity_column(ref::Dense<T>& A1, ref::Dense<T>& A2, int c) {
+void identity_column(Tile<T> const& A1, Tile<T> const& A2, int c) {
     for (int i = 0; i < c; ++i)
         A1(i, c) = T(0);
     A1(c, c) = from_real<T>(real_part(A1(c, c)));
-    for (int i = 0; i < A2.m(); ++i)
+    for (int i = 0; i < A2.mb(); ++i)
         A2(i, c) = T(0);
 }
 
@@ -468,8 +469,11 @@ TYPED_TEST(BlasKernel, TFactorStrictLowerIsZero) {
     struct Shape {
         int mb, nb, zero_col;
     };
+    // 64 and 128 (and the 70-row wide tile) go through the recursion.
     for (Shape sh : {Shape{8, 12, -1}, Shape{17, 13, -1}, Shape{13, 17, 4},
-                     Shape{64, 64, 0}, Shape{64, 64, 7}, Shape{17, 17, 16}}) {
+                     Shape{64, 64, 0}, Shape{64, 64, 7}, Shape{17, 17, 16},
+                     Shape{128, 128, 70}, Shape{160, 128, 127},
+                     Shape{70, 128, 3}}) {
         int const k = std::min(sh.mb, sh.nb);
         auto A = ref::random_dense<T>(sh.mb, sh.nb, 111 + sh.mb);
         if (sh.zero_col >= 0)
@@ -489,14 +493,15 @@ TYPED_TEST(BlasKernel, TFactorStrictLowerIsZero) {
     };
     for (Pair p : {Pair{12, 5, 12, -1}, Pair{13, 17, 16, 0},
                    Pair{64, 64, 64, 7}, Pair{17, 17, 17, 16},
-                   Pair{17, 9, 19, 3}}) {
+                   Pair{17, 9, 19, 3}, Pair{64, 40, 66, 33},
+                   Pair{128, 128, 128, 70}, Pair{128, 200, 130, 0}}) {
         for (bool tt : {false, true}) {
             if (tt && p.m2 > p.n)
                 continue;
             auto A1 = ref::random_dense<T>(p.a1mb, p.n, 121 + p.n);
             auto A2 = ref::random_dense<T>(p.m2, p.n, 122 + p.m2);
             if (p.zero_col >= 0)
-                identity_column(A1, A2, p.zero_col);
+                identity_column(as_tile(A1), as_tile(A2), p.zero_col);
             auto Tf = nan_dense<T>(p.n + 2, p.n);
             if (tt)
                 blas::ttqrt(as_tile(A1), as_tile(A2), as_tile(Tf));
@@ -509,4 +514,164 @@ TYPED_TEST(BlasKernel, TFactorStrictLowerIsZero) {
             }
         }
     }
+}
+
+namespace {
+
+/// Fill F's window (in both copies) with the Hermitian positive definite
+/// G G^H + n I for a random G.
+template <typename T>
+void hpd_window(Framed<T>& F, std::uint64_t seed) {
+    int const n = F.m;
+    auto G = ref::random_dense<T>(n, n, seed);
+    auto H = ref::gemm(Op::NoTrans, Op::ConjTrans, T(1), G, G);
+    for (int i = 0; i < n; ++i)
+        H(i, i) += from_real<T>(static_cast<real_t<T>>(n));
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            F.tile()(i, j) = F.oracle()(i, j) = H(i, j);
+}
+
+}  // namespace
+
+TYPED_TEST(BlasKernel, GeqrtMatchesNaiveSweep) {
+    using T = TypeParam;
+    struct Shape {
+        int mb, nb;
+    };
+    for (int n : kSweep)
+        // Square, tall, wide and ragged tiles; column n / 3 is zero, so its
+        // reflector has tau == 0. Tf has two spare rows below k.
+        for (Shape sh : {Shape{n, n}, Shape{n + 13, n}, Shape{n, n + 5},
+                         Shape{n - 1, n + 2}}) {
+            int const k = std::min(sh.mb, sh.nb);
+            Framed<T> A(sh.mb, sh.nb, 131 + n), Tf(k + 2, k, 132 + n);
+            for (int i = 0; i < sh.mb; ++i)
+                A.tile()(i, n / 3) = A.oracle()(i, n / 3) = T(0);
+            blas::geqrt_naive(A.oracle(), Tf.oracle());
+            blas::geqrt(A.tile(), Tf.tile());
+            EXPECT_TRUE(framed_close(A, sh.mb))
+                << "A " << sh.mb << "x" << sh.nb;
+            EXPECT_TRUE(framed_close(Tf, sh.mb))
+                << "Tf " << sh.mb << "x" << sh.nb;
+        }
+}
+
+TYPED_TEST(BlasKernel, TsqrtTtqrtMatchNaiveSweep) {
+    using T = TypeParam;
+    for (int n : kSweep)
+        // tsqrt over m2 = n, a taller and a shorter A2; ttqrt over the
+        // square and two shorter trapezoids. Column n / 3 is an identity
+        // column (tau == 0); A1 has spare rows below n and Tf below n,
+        // and ttqrt's A2 keeps random values below its trapezoid, which
+        // neither path may read or write.
+        for (bool tt : {false, true})
+            for (int m2 : {n, tt ? n - 3 : n + 7, n / 2 + 1}) {
+                Framed<T> A1(n + 2, n, 141 + n), A2(m2, n, 142 + m2),
+                    Tf(n + 2, n, 143 + n);
+                identity_column(A1.tile(), A2.tile(), n / 3);
+                identity_column(A1.oracle(), A2.oracle(), n / 3);
+                if (tt) {
+                    blas::ttqrt_naive(A1.oracle(), A2.oracle(), Tf.oracle());
+                    blas::ttqrt(A1.tile(), A2.tile(), Tf.tile());
+                } else {
+                    blas::tsqrt_naive(A1.oracle(), A2.oracle(), Tf.oracle());
+                    blas::tsqrt(A1.tile(), A2.tile(), Tf.tile());
+                }
+                char const* name = tt ? "ttqrt" : "tsqrt";
+                EXPECT_TRUE(framed_close(A1, n + m2))
+                    << name << " A1 n=" << n << " m2=" << m2;
+                EXPECT_TRUE(framed_close(A2, n + m2))
+                    << name << " A2 n=" << n << " m2=" << m2;
+                EXPECT_TRUE(framed_close(Tf, n + m2))
+                    << name << " Tf n=" << n << " m2=" << m2;
+            }
+}
+
+TYPED_TEST(BlasKernel, PotrfMatchesNaiveSweep) {
+    using T = TypeParam;
+    for (int n : kSweep)
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            Framed<T> A(n, n, 151 + n);
+            hpd_window(A, 152 + n);
+            blas::potrf_naive(uplo, A.oracle());
+            blas::potrf(uplo, A.tile());
+            EXPECT_TRUE(framed_close(A, n))
+                << "n=" << n << " uplo=" << static_cast<int>(uplo);
+        }
+}
+
+TYPED_TEST(BlasKernel, TrsmBaseMatchesNaive) {
+    using T = TypeParam;
+    // trsm_base directly at and below the base case (the sweep above
+    // reaches it through the recursion), with a right-hand-side dimension
+    // that is not a multiple of its vector groups.
+    T const alpha = from_real<T>(real_t<T>(-1.5));
+    for (int n : {1, 2, 7, 16})
+        for (Side side : {Side::Left, Side::Right})
+            for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+                for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                    for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                        Framed<T> A(n, n, 161 + n);
+                        auto At = A.tile();
+                        for (int j = 0; j < n; ++j)
+                            for (int i = 0; i < n; ++i)
+                                At(i, j) *= from_real<T>(real_t<T>(1) / n);
+                        for (int i = 0; i < n; ++i)
+                            At(i, i) += T(1);
+                        bool const left = side == Side::Left;
+                        Framed<T> B(left ? n : 45, left ? 37 : n, 162 + n);
+                        blas::trsm_naive(side, uplo, op, diag, alpha, At,
+                                         B.oracle());
+                        blas::trsm_base(side, uplo, op, diag, alpha, At,
+                                        B.tile());
+                        EXPECT_TRUE(framed_close(B, n))
+                            << "n=" << n
+                            << " side=" << static_cast<int>(side)
+                            << " uplo=" << static_cast<int>(uplo)
+                            << " op=" << static_cast<int>(op)
+                            << " diag=" << static_cast<int>(diag);
+                    }
+}
+
+TYPED_TEST(BlasKernel, PanelFlopChargesMatchFormulas) {
+    using T = TypeParam;
+    // At n = 64 every public entry below runs its recursion, whose inner
+    // calls must not charge: each call adds exactly its formula, truncated
+    // once as count_flops does.
+    int const n = 64;
+    double const w = fma_flops<T>() / 2.0;
+    auto units = [w](double fl) {
+        return static_cast<double>(static_cast<std::uint64_t>(fl * w));
+    };
+    auto charged = [](auto&& call) {
+        double const f0 = blas::kernel::flops_performed();
+        call();
+        return blas::kernel::flops_performed() - f0;
+    };
+    auto A = ref::random_dense<T>(n, n, 171);
+    auto B = ref::random_dense<T>(n, n, 172);
+    auto C = ref::random_dense<T>(n, n, 173);
+    ref::Dense<T> Tf(n, n);
+
+    EXPECT_EQ(charged([&] { blas::geqrt(as_tile(A), as_tile(Tf)); }),
+              units(flops::geqrf(n, n)));
+    EXPECT_EQ(charged([&] {
+                  blas::tsqrt(as_tile(A), as_tile(B), as_tile(Tf));
+              }),
+              units(flops::tsqrt(n, n)));
+    EXPECT_EQ(charged([&] {
+                  blas::ttqrt(as_tile(A), as_tile(C), as_tile(Tf));
+              }),
+              units(flops::ttqrt(n, n)));
+
+    Framed<T> L(n, n, 174);
+    hpd_window(L, 175);
+    EXPECT_EQ(charged([&] { blas::potrf(Uplo::Lower, L.tile()); }),
+              units(flops::potrf(n)));
+    EXPECT_EQ(charged([&] {
+                  blas::trsm(Side::Right, Uplo::Lower, Op::ConjTrans,
+                             Diag::NonUnit, T(1), L.tile(), as_tile(B));
+              }),
+              units(flops::trsm_right(n, n)));
 }
