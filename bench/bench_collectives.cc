@@ -1,4 +1,4 @@
-// Collective-algorithm benchmark: linear (legacy oracle) vs tree /
+// Collective-algorithm benchmark: linear (reference oracle) vs tree /
 // recursive-doubling / ring collectives, swept over rank counts and message
 // sizes. For every case it cross-checks the measured CommStats totals
 // (messages, bytes, max per-rank sends) against the cost model's

@@ -4,11 +4,11 @@
 // acceptance harness for the kernel layer and doubles as a retuning tool
 // after any change to Params<T> (see kernel/params.hh).
 //
-// A second sweep times the tile kernels built on it (herk, trsm, trmm,
-// unmqr, tsmqr, ttmqr and the panel factorizations geqrt, tsqrt, ttqrt,
-// potrf) at nb = 32, 64, 128 and 192: the public entry, its *_naive element
-// loops and their ratio, and the public entry's ratio to the packed gemm at
-// the same nb, i.e. how close each kernel runs to the gemm rate.
+// A second sweep times the tile kernels built on it (herk, trsm, unmqr,
+// tsmqr, ttmqr and the panel factorizations geqrt, tsqrt, ttqrt, potrf) at
+// nb = 32, 64, 128 and 192: the public entry, its *_naive element loops and
+// their ratio, and the public entry's ratio to the packed gemm at the same
+// nb, i.e. how close each kernel runs to the gemm rate.
 //
 // Usage:
 //   bench_gemm_kernel                 full sweep, console table +
@@ -110,7 +110,7 @@ PathResult time_path(bool micro, int n, Tile<T> const& A, Tile<T> const& B,
 
 /// Max |micro - naive| relative to the result magnitude.
 template <typename T>
-double path_diff(int n, Tile<T> const& A, Tile<T> const& B,
+double path_diff(Tile<T> const& A, Tile<T> const& B,
                  aligned_vector<T> const& c0, Tile<T> const& C,
                  aligned_vector<T>& scratch) {
     T const alpha = T(1) + T(1) / T(8);
@@ -144,7 +144,7 @@ void run_type(std::vector<std::int64_t> const& sizes,
 
         auto naive = time_path<T>(false, n, A, B, c0, C);
         auto micro = time_path<T>(true, n, A, B, c0, C);
-        double const diff = path_diff<T>(n, A, B, c0, C, scratch);
+        double const diff = path_diff<T>(A, B, c0, C, scratch);
         double const speedup = naive.gflops > 0
                                    ? micro.gflops / naive.gflops
                                    : 0.0;
@@ -239,11 +239,6 @@ struct TileOperands {
                  (naive ? blas::trsm_naive<T> : blas::trsm<T>)(
                      Side::Right, Uplo::Lower, CT, Diag::NonUnit, T(1), L.t,
                      X.X1.t);
-             }},
-            {"trmm",
-             [this](bool naive, Outputs<T>& X) {
-                 (naive ? blas::trmm_naive<T> : blas::trmm<T>)(
-                     Uplo::Lower, CT, Diag::NonUnit, T(1), L.t, X.X1.t);
              }},
             {"unmqr",
              [this](bool naive, Outputs<T>& X) {
@@ -409,7 +404,7 @@ int run_smoke() {
 
     auto naive = time_path<double>(false, n, A, B, c0, C);
     auto micro = time_path<double>(true, n, A, B, c0, C);
-    double const diff = path_diff<double>(n, A, B, c0, C, scratch);
+    double const diff = path_diff<double>(A, B, c0, C, scratch);
     double const speedup = micro.gflops / naive.gflops;
 
     std::printf("smoke: d n=%d naive %.2f GF/s micro %.2f GF/s speedup "

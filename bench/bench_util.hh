@@ -1,6 +1,6 @@
 // Shared helpers for the figure-reproduction benches: console formatting,
 // accuracy metrics, environment-variable knobs, and the machine-readable
-// JSON result emitter used by bench_gemm_kernel and bench_scheduler.
+// JSON result emitter used by the plain-main benches and the ledger.
 
 #pragma once
 
@@ -88,7 +88,7 @@ inline std::vector<std::int64_t> bench_sizes(std::vector<std::int64_t> dflt) {
 
 // --- machine-readable results ------------------------------------------------
 //
-// Benches that feed tooling (bench_gemm_kernel, bench_scheduler) emit their
+// Benches that feed tooling (bench_gemm_kernel, the ledger, ...) emit their
 // measurements as one JSON document:
 //
 //   { "machine": { "host": ..., "hw_concurrency": ..., "compiler": ... },

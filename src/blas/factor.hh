@@ -10,9 +10,9 @@
 //                     base-case diagonal blocks' flops run through the
 //                     packed micro-kernel layer.
 // The public entry runs the element loops whole at or below the base case
-// and under TBP_NAIVE_BLAS, and charges the call's flops exactly once. The
-// inner GEMMs run at the kernel's own precision: a float tile under a bf16
-// execution mode is not truncated to bf16, as the element loops never were.
+// and charges the call's flops exactly once. The inner GEMMs run at the
+// kernel's own precision: a float tile under a bf16 execution mode is not
+// truncated to bf16, as the element loops never were.
 
 #pragma once
 
@@ -114,7 +114,7 @@ void potrf(Uplo uplo, Tile<T> const& A) {
     tbp_require(A.nb() == n);
     {
         prec::ExecModeScope const native(prec::GemmMode::Native);
-        if (kernel::use_naive() || n <= kernel::kTriBase)
+        if (n <= kernel::kTriBase)
             potrf_naive(uplo, A);
         else
             potrf_recursive(uplo, A);

@@ -6,9 +6,9 @@
 //
 //   gemm        - dispatcher: routes to the packed register-blocked
 //                 micro-kernel layer (blas/kernel/) for non-trivial sizes,
-//                 falls back to the naive loops below the crossover or when
-//                 TBP_NAIVE_BLAS selects the reference path. Charges the
-//                 call's flops to the measured-rate counter (kernel/stats.hh).
+//                 falls back to the naive loops below the crossover. Charges
+//                 the call's flops to the measured-rate counter
+//                 (kernel/stats.hh).
 //   gemm_naive  - the original strided triple loop, kept as the reference
 //                 both paths are tested against.
 //
@@ -95,8 +95,8 @@ void gemm_naive(Op opA, Op opB, T alpha, Tile<T> const& A, Tile<T> const& B,
 /// kernels whose public entry points charge their own (aggregate) counts.
 /// A float-typed call under an active bf16 gemm mode always takes the
 /// packed path: the bf16 truncation lives in the pack layer, so routing to
-/// the naive loops (crossover or TBP_NAIVE_BLAS) would silently run the
-/// "bf16" gemm in full fp32.
+/// the naive loops below the crossover would silently run the "bf16" gemm
+/// in full fp32.
 template <typename T>
 void gemm_dispatch(Op opA, Op opB, T alpha, Tile<T> const& A,
                    Tile<T> const& B, T beta, Tile<T> const& C) {
@@ -109,7 +109,7 @@ void gemm_dispatch(Op opA, Op opB, T alpha, Tile<T> const& A,
     int const k = (opA == Op::NoTrans) ? A.nb() : A.mb();
     double const volume =
         static_cast<double>(C.mb()) * C.nb() * static_cast<double>(k);
-    if (kernel::use_naive() || volume < kernel::kGemmCrossover)
+    if (volume < kernel::kGemmCrossover)
         gemm_naive(opA, opB, alpha, A, B, beta, C);
     else
         kernel::gemm(opA, opB, alpha, A, B, beta, C);

@@ -41,9 +41,9 @@
 // factorization under a bf16 execution mode does not truncate its panel
 // to bf16, just as the element loops never did.
 //
-// Every public entry dispatches on size / TBP_NAIVE_BLAS and charges the
-// call's aggregate flops to the measured-rate counter exactly once; the
-// recursion's inner calls go through the non-counting *_dispatch paths.
+// Every public entry dispatches on size and charges the call's aggregate
+// flops to the measured-rate counter exactly once; the recursion's inner
+// calls go through the non-counting *_dispatch paths.
 // tau_j is stored in Tf(j, j) as soon as column j is factored, and the
 // appliers' workspaces come from the thread's kernel arena, so none of
 // these kernels allocates after warm-up.
@@ -207,8 +207,8 @@ Tile<T> arena_tile(kernel::Slot slot, int k, int n) {
 
 /// W := the `uplo` trapezoid of V with zeros outside it and, for a unit
 /// diagonal, ones on it: a triangular reflector block made dense, so that
-/// its products are single GEMMs. At tile sizes those run faster than the
-/// trmm recursion despite the zero half.
+/// its products are single GEMMs. At tile sizes those run faster than a
+/// triangular recursion despite the zero half.
 template <typename T>
 void masked_copy(Uplo uplo, Diag diag, Tile<T> const& V, Tile<T> const& W) {
     for (int j = 0; j < V.nb(); ++j)
@@ -314,7 +314,7 @@ void unmqr_dispatch(Op op, Tile<T> const& V, Tile<T> const& Tf,
                     Tile<T> const& C) {
     double const volume =
         static_cast<double>(V.mb()) * std::min(V.mb(), V.nb()) * C.nb();
-    if (kernel::use_naive() || volume < 4.0 * kernel::kGemmCrossover)
+    if (volume < 4.0 * kernel::kGemmCrossover)
         unmqr_naive(op, V, Tf, C);
     else
         unmqr_level3(op, V, Tf, C);
@@ -532,7 +532,7 @@ void tpmqr_dispatch(Op op, int l, Tile<T> const& V, Tile<T> const& Tf,
                     Tile<T> const& C1, Tile<T> const& C2, bool c2_zero) {
     int const n = V.nb();
     double const volume = static_cast<double>(V.mb() + n) * n * C1.nb();
-    if (kernel::use_naive() || volume < 4.0 * kernel::kGemmCrossover)
+    if (volume < 4.0 * kernel::kGemmCrossover)
         tpmqr_naive(op, l, V, Tf, C1, C2, c2_zero);
     else
         tpmqr_level3(op, l, V, Tf, C1, C2, c2_zero);
@@ -619,7 +619,7 @@ void tpqrt(int l, Tile<T> const& A1, Tile<T> const& B, Tile<T> const& Tf) {
     int const n = A1.nb();
     tbp_require(A1.mb() >= n && B.nb() == n && Tf.mb() >= n && Tf.nb() >= n);
     prec::ExecModeScope const native(prec::GemmMode::Native);
-    if (kernel::use_naive() || n <= kernel::kTriBase) {
+    if (n <= kernel::kTriBase) {
         tpqrt_naive(l, A1, B, Tf);
         return;
     }
@@ -641,7 +641,7 @@ void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
     tbp_require(Tf.mb() >= k && Tf.nb() >= k);
     {
         prec::ExecModeScope const native(prec::GemmMode::Native);
-        if (kernel::use_naive() || k <= kernel::kTriBase) {
+        if (k <= kernel::kTriBase) {
             geqrt_naive(A, Tf);
         } else {
             auto const V = A.sub(0, 0, mb, k);

@@ -17,11 +17,10 @@
 //
 // Simulated bf16 lives here as well: a pack-time value transform
 // (prec::PackTrans) truncates each packed float scalar to bf16 with
-// round-to-nearest-even (componentwise for complex), or extracts the low
-// half for the compensated scheme. The micro-kernel itself is unchanged —
-// it accumulates the truncated operands in fp32, which is exactly the
-// bf16-in/fp32-accumulate contract of real matrix units. Double-typed packs
-// never consult the transform.
+// round-to-nearest-even (componentwise for complex). The micro-kernel
+// itself is unchanged — it accumulates the truncated operands in fp32,
+// which is exactly the bf16-in/fp32-accumulate contract of real matrix
+// units. Double-typed packs never consult the transform.
 
 #pragma once
 

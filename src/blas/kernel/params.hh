@@ -30,7 +30,6 @@
 #pragma once
 
 #include <complex>
-#include <cstdlib>
 
 namespace tbp::blas::kernel {
 
@@ -61,9 +60,9 @@ struct Params<std::complex<double>> {
     static constexpr int MC = 64, KC = 192, NC = 4096;
 };
 
-/// Base case of the recursive triangular kernels in level3.hh (trsm, trmm,
-/// herk), of the recursive panels (geqrt, tsqrt, ttqrt in householder.hh,
-/// potrf in factor.hh) and of the Householder appliers' T-factor product:
+/// Base case of the recursive triangular kernels in level3.hh (trsm, herk),
+/// of the recursive panels (geqrt, tsqrt, ttqrt in householder.hh, potrf
+/// in factor.hh) and of the Householder appliers' T-factor product:
 /// a triangular or column dimension at or below it runs the naive element
 /// loops (herk's diagonal blocks instead go through gemm into a workspace,
 /// trsm's through trsm_base), anything larger is halved with GEMM work
@@ -73,21 +72,5 @@ inline constexpr int kTriBase = 16;
 /// Below this m*n*k volume the packed path's setup cost is not worth it and
 /// the dispatchers use the naive kernels directly.
 inline constexpr double kGemmCrossover = 2048;
-
-/// Runtime selection of the naive reference kernels, initialized from the
-/// TBP_NAIVE_BLAS environment variable ("0"/unset selects the micro-kernel
-/// layer, anything else the naive loops). Mutable so tests and benches can
-/// A/B both paths in one process; flip only from a single thread while no
-/// kernels are in flight.
-inline bool& naive_flag() {
-    static bool flag = [] {
-        char const* e = std::getenv("TBP_NAIVE_BLAS");
-        return e != nullptr && e[0] != '\0' && !(e[0] == '0' && e[1] == '\0');
-    }();
-    return flag;
-}
-
-inline bool use_naive() { return naive_flag(); }
-inline void set_naive(bool v) { naive_flag() = v; }
 
 }  // namespace tbp::blas::kernel

@@ -1,6 +1,6 @@
 // Measured-flop accounting for the tile kernels.
 //
-// Every public blas:: entry point (gemm, herk, trsm, trmm, potrf, geqrf,
+// Every public blas:: entry point (gemm, herk, trsm, potrf, geqrf,
 // unmqr, tsqrt, tsmqr, ttqrt, ttmqr) charges its real-flop count here
 // exactly once per call, regardless of which implementation path
 // (micro-kernel or naive) ran. The perf layer (sched_report, the driver,

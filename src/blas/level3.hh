@@ -1,28 +1,28 @@
-// Sequential tile-level triangular and rank-k kernels: herk/syrk, trsm, trmm.
+// Sequential tile-level triangular and rank-k kernels: herk/syrk, trsm, and
+// trmm_naive (the Householder appliers' T-factor product).
 //
 // Conventions follow BLAS: only the `uplo` triangle of Hermitian results is
 // referenced, triangular solves overwrite the right-hand side, and `Diag`
 // selects an implicit unit diagonal.
 //
-// Each kernel exists in two forms sharing one public entry point:
+// herk and trsm exist in two forms sharing one public entry point:
 //   *_naive     - the original element loops, kept as the tested reference.
 //   *_recursive - halves the triangular dimension until it is at most
 //                 kernel::kTriBase (16), with one GEMM update between the
 //                 halves routed through the packed micro-kernel layer
-//                 (blas/kernel/). About kTriBase / n of trsm's and trmm's
-//                 flops (a quarter at n = 64) sit in the base-case diagonal
-//                 blocks. trmm multiplies them with trmm_naive; trsm solves
-//                 them with trsm_base, which packs op(A) with its reciprocal
+//                 (blas/kernel/). About kTriBase / n of trsm's flops (a
+//                 quarter at n = 64) sit in the base-case diagonal blocks,
+//                 which trsm_base solves: it packs op(A) with its reciprocal
 //                 diagonal once and, for right-hand sides on the right,
 //                 hands it to the register-blocked kernel::trsm_right_upper
 //                 (compiled at -O3 with the micro-kernels), so the base
 //                 case runs vectorized and divides nowhere. herk computes
 //                 each diagonal block by GEMM into an arena workspace and
 //                 merges only its triangle, so all its flops are GEMM flops.
-// A tile at or below the base case runs the naive loops whole, as does every
-// tile when TBP_NAIVE_BLAS is set; the public entry charges the call's flops
-// to the measured-rate counter either way. The recursive Cholesky
-// (factor.hh) is built from trsm_recursive and herk_recursive.
+// A tile at or below the base case runs the naive loops whole; the public
+// entry charges the call's flops to the measured-rate counter either way.
+// The recursive Cholesky (factor.hh) is built from trsm_recursive and
+// herk_recursive.
 //
 // Precision: under a bf16 execution mode (prec::exec_gemm_mode) the GEMM
 // updates inside these kernels are truncated to bf16 at pack, like any other
@@ -129,7 +129,7 @@ void herk(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
           real_t<T> beta, Tile<T> const& C) {
     int const n = C.mb();
     int const k = (op == Op::NoTrans) ? A.nb() : A.mb();
-    if (kernel::use_naive() || n <= kernel::kTriBase)
+    if (n <= kernel::kTriBase)
         herk_naive(uplo, op, alpha, A, beta, C);
     else
         herk_recursive(uplo, op, alpha, A, beta, C);
@@ -346,7 +346,7 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
     int const m = B.mb();
     int const n = B.nb();
     int const na = (side == Side::Left) ? m : n;
-    if (kernel::use_naive() || na <= kernel::kTriBase)
+    if (na <= kernel::kTriBase)
         trsm_naive(side, uplo, op, diag, alpha, A, B);
     else
         trsm_recursive(side, uplo, op, diag, alpha, A, B);
@@ -358,6 +358,8 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
 
 /// Triangular matrix-matrix multiply, left side only (all TBP call sites):
 ///   B := alpha * op(A) * B,  A m-by-m triangular, B m-by-n.
+/// Element loops only: its one caller, the Householder appliers' T-factor
+/// product, uses it at or below kernel::kTriBase and a GEMM above.
 template <typename T>
 void trmm_naive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
                 Tile<T> const& B) {
@@ -389,48 +391,6 @@ void trmm_naive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
             }
         }
     }
-}
-
-/// Recursive trmm: the half of B whose product reads the other half goes
-/// first (trmm on its diagonal block, then one GEMM against the
-/// not-yet-overwritten other half), then the other half. Base case:
-/// trmm_naive.
-template <typename T>
-void trmm_recursive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-                    Tile<T> const& B) {
-    int const m = B.mb();
-    int const n = B.nb();
-    tbp_require(A.mb() == m && A.nb() == m);
-    if (m <= kernel::kTriBase) {
-        trmm_naive(uplo, op, diag, alpha, A, B);
-        return;
-    }
-
-    // An effectively upper op(A) makes the top rows read the bottom ones:
-    // rows [f0, f0 + fn) go first, [s0, s0 + sn) second.
-    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
-    int const n1 = m / 2;
-    int const f0 = eff_upper ? 0 : n1, fn = eff_upper ? n1 : m - n1;
-    int const s0 = eff_upper ? n1 : 0, sn = m - fn;
-
-    trmm_recursive(uplo, op, diag, alpha, A.sub(f0, f0, fn, fn),
-                   B.sub(f0, 0, fn, n));
-    gemm_dispatch(op, Op::NoTrans, alpha,
-                  detail::op_sub(op, A, f0, s0, fn, sn), B.sub(s0, 0, sn, n),
-                  T(1), B.sub(f0, 0, fn, n));
-    trmm_recursive(uplo, op, diag, alpha, A.sub(s0, s0, sn, sn),
-                   B.sub(s0, 0, sn, n));
-}
-
-template <typename T>
-void trmm(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-          Tile<T> const& B) {
-    if (kernel::use_naive())
-        trmm_naive(uplo, op, diag, alpha, A, B);
-    else
-        trmm_recursive(uplo, op, diag, alpha, A, B);
-    kernel::count_flops(flops::trmm(B.mb(), B.nb()) * (fma_flops<T>() / 2.0),
-                        prec::charge_prec<T>());
 }
 
 }  // namespace tbp::blas

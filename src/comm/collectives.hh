@@ -2,8 +2,8 @@
 //
 // This header is included at the end of communicator.hh and defines the
 // collective member templates declared there. Algorithm selection is per
-// coll::Config (comm_stats.hh); the legacy Linear paths are kept as the
-// bitwise reference oracle.
+// coll::Config (comm_stats.hh); the Linear paths are kept as the bitwise
+// reference oracle.
 //
 // Determinism contract: every reduction algorithm except Ring combines
 // contributions in ascending original-rank order — acc starts from rank 0's
@@ -222,8 +222,7 @@ void Communicator::allreduce(T* data, std::size_t count, OpF const& op) {
     try {
         switch (coll::resolve_allreduce(cfg_, count * sizeof(T))) {
             case coll::Algo::Linear:
-                // Legacy oracle: gather-and-fold at rank 0, linear
-                // re-broadcast.
+                // Oracle: gather-and-fold at rank 0, linear re-broadcast.
                 reduce_linear(data, count, op, 0);
                 bcast_linear(data, count, 0);
                 break;
@@ -465,9 +464,12 @@ std::vector<T> Communicator::allgatherv(std::vector<T> const& mine,
 
     std::vector<std::size_t> cnt(static_cast<std::size_t>(P));
     std::size_t const myc = mine.size();
+    // Linear only on request; every other choice runs the binomial tree.
+    bool const linear = coll::resolve_allgather(cfg_, myc * sizeof(T))
+                        == coll::Algo::Linear;
     if (P == 1) {
         cnt[0] = myc;
-    } else if (cfg_.legacy) {
+    } else if (linear) {
         cnt[static_cast<std::size_t>(me)] = myc;
         allgather_linear(&myc, 1, cnt.data());
     } else {
@@ -483,7 +485,7 @@ std::vector<T> Communicator::allgatherv(std::vector<T> const& mine,
 
     if (P == 1) {
         std::copy(mine.begin(), mine.end(), out.begin());
-    } else if (cfg_.legacy) {
+    } else if (linear) {
         // Linear oracle: direct exchange of payloads.
         for (int r = 0; r < P; ++r)
             if (r != me)

@@ -44,12 +44,11 @@ struct CommStats {
 
 namespace coll {
 
-/// Collective algorithm. Linear is the legacy reference oracle (root
-/// gathers/sends one message per rank); the others are the engine's
-/// algorithmic variants.
+/// Collective algorithm. Linear is the reference oracle (root gathers/sends
+/// one message per rank); the others are the engine's algorithmic variants.
 enum class Algo {
     Auto,       ///< size/deterministic-based selection (see resolve_*)
-    Linear,     ///< legacy O(P)-at-root paths, kept as the oracle
+    Linear,     ///< O(P)-at-root paths, kept as the oracle
     Tree,       ///< binomial tree (bcast; gather+rank-ordered fold reduce)
     RecDouble,  ///< recursive doubling (distance-doubling block exchange)
     Ring,       ///< chunk-pipelined ring (reduce-scatter + allgather)
@@ -68,18 +67,14 @@ inline char const* algo_name(Algo a) {
 
 /// Per-communicator collective configuration. Every rank must use the same
 /// Config (selection depends only on Config, P, and message size, so a
-/// uniformly configured World always agrees on the algorithm).
+/// uniformly configured World always agrees on the algorithm). Setting all
+/// four algorithms to Linear gives the reference oracle the engine is
+/// validated against bit for bit.
 struct Config {
     Algo bcast = Algo::Auto;
     Algo reduce = Algo::Auto;
     Algo allreduce = Algo::Auto;
     Algo allgather = Algo::Auto;
-
-    /// Oracle mode: every collective runs the legacy Linear path and the
-    /// distributed kernels fall back to blocking (non-pipelined) tile
-    /// staging. The reference against which the engine is validated
-    /// bit-for-bit.
-    bool legacy = false;
 
     /// When true (default), Auto only picks reduction algorithms that
     /// combine contributions in ascending-rank order (Linear, Tree,
@@ -99,20 +94,14 @@ struct Config {
 };
 
 inline Algo resolve_bcast(Config const& c, std::size_t) {
-    if (c.legacy)
-        return Algo::Linear;
     return c.bcast == Algo::Auto ? Algo::Tree : c.bcast;
 }
 
 inline Algo resolve_reduce(Config const& c, std::size_t) {
-    if (c.legacy)
-        return Algo::Linear;
     return c.reduce == Algo::Auto ? Algo::Tree : c.reduce;
 }
 
 inline Algo resolve_allreduce(Config const& c, std::size_t bytes) {
-    if (c.legacy)
-        return Algo::Linear;
     if (c.allreduce != Algo::Auto)
         return c.allreduce;
     if (!c.deterministic && bytes >= c.ring_threshold_bytes)
@@ -121,8 +110,6 @@ inline Algo resolve_allreduce(Config const& c, std::size_t bytes) {
 }
 
 inline Algo resolve_allgather(Config const& c, std::size_t bytes) {
-    if (c.legacy)
-        return Algo::Linear;
     if (c.allgather != Algo::Auto)
         return c.allgather;
     return bytes >= c.ring_threshold_bytes ? Algo::Ring : Algo::Tree;

@@ -22,8 +22,8 @@
 //
 // Collectives: binomial-tree bcast/reduce, recursive-doubling and ring
 // (chunk-pipelined) allreduce, allgather(v) — selected per message size via
-// coll::Config (see comm_stats.hh), with the legacy linear/root-bottleneck
-// paths kept selectable as a bitwise reference oracle. Reductions combine
+// coll::Config (see comm_stats.hh), with the linear/root-bottleneck paths
+// kept selectable as a bitwise reference oracle. Reductions combine
 // contributions in ascending-rank order for every algorithm except Ring,
 // so oracle and engine agree bit-for-bit by default.
 
@@ -462,7 +462,7 @@ public:
     int size() const { return nranks_; }
 
     /// Collective configuration inherited by every Communicator of the next
-    /// run(). coll::Config{.legacy = true} selects the oracle paths.
+    /// run(). Algo::Linear for every collective selects the oracle paths.
     void set_coll_config(coll::Config cfg) { shared_->coll_cfg = cfg; }
     coll::Config const& coll_config() const { return shared_->coll_cfg; }
 

@@ -212,23 +212,18 @@ namespace detail {
 /// stage(l) posts step l's panels (stage_tile_begin) and returns them,
 /// compute(l, staged) consumes them. Step l+1 is posted before step l
 /// computes, so its broadcasts overlap step l's kernels; the staged operands
-/// must therefore be read-only across the loop. Under coll::Config::legacy
-/// each step is staged on demand, after the previous step computed.
+/// must therefore be read-only across the loop.
 template <typename Stage, typename Compute>
-void pipelined_steps(Communicator& c, int n, Stage&& stage,
-                     Compute&& compute) {
+void pipelined_steps(int n, Stage&& stage, Compute&& compute) {
     using Step = decltype(stage(0));
-    bool const pipelined = !c.coll_config().legacy;
     Step cur;
     if (n > 0)
         cur = stage(0);
     for (int l = 0; l < n; ++l) {
         Step next;
-        if (pipelined && l + 1 < n)
+        if (l + 1 < n)
             next = stage(l + 1);
         compute(l, cur);
-        if (!pipelined && l + 1 < n)
-            next = stage(l + 1);
         cur = std::move(next);
     }
 }
@@ -279,7 +274,7 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
         return st;
     };
 
-    detail::pipelined_steps(c, kt, stage_step, [&](int, Step& cur) {
+    detail::pipelined_steps(kt, stage_step, [&](int, Step& cur) {
         for (int j = 0; j < nt; ++j) {
             for (int i = j; i < nt; ++i) {
                 if (!C.is_local(i, j))

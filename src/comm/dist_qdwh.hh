@@ -159,9 +159,15 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
     R const tol3 = std::cbrt(R(5) * eps);
     double const tol1 = 5.0 * static_cast<double>(eps);
 
+    // The estimate is allreduced, so every rank throws here together. An
+    // Inf entry must stop here: scaled by 1/Inf it turns into NaNs that fail
+    // one rank's potrf while its peers block in recv.
     R const alpha = dist_norm2est(c, A);
     info.norm2_estimate = static_cast<double>(alpha);
-    tbp_require(alpha > R(0));
+    if (alpha == R(0))
+        tbp_throw("dist_qdwh: A is the zero matrix");
+    if (!std::isfinite(static_cast<double>(alpha)))
+        tbp_throw("dist_qdwh: A has a NaN or Inf entry");
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < mt; ++i)
             if (A.is_local(i, j))
@@ -207,7 +213,7 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
             {
                 // Bf16 packs gemm operands at the blas level on each rank's
                 // own thread — install the exec-side mode directly.
-                prec::ExecModeScope mode_scope(prec::gemm_mode(rung, pol));
+                prec::ExecModeScope mode_scope(prec::gemm_mode(rung));
                 detail::dist_qdwh_iter(c, g3, *As, *sw, pw.a, pw.b, pw.c,
                                        tag_base);
             }

@@ -187,7 +187,6 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
 
     // A and Tmat are read-only below (only Q is written), so entry e+1's
     // V/T broadcast legally overlaps entry e's reflector applications.
-    // The legacy oracle stages each entry on demand instead.
     using VT = std::pair<detail::PendingStage<T>, detail::PendingStage<T>>;
     auto stage_entry = [&](int e) {
         Entry const& en = sched[static_cast<std::size_t>(e)];
@@ -214,7 +213,7 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
     };
 
     detail::pipelined_steps(
-        c, static_cast<int>(sched.size()), stage_entry, [&](int e, VT& cur) {
+        static_cast<int>(sched.size()), stage_entry, [&](int e, VT& cur) {
             Entry const& en = sched[static_cast<std::size_t>(e)];
             int const nbk = A.tile_nb(en.k);
             if (en.i != en.k) {

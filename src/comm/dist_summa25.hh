@@ -271,7 +271,7 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
             }
             return st;
         };
-        detail::pipelined_steps(c, my_hi, stage_step, [&](int, Step& st) {
+        detail::pipelined_steps(my_hi, stage_step, [&](int, Step& st) {
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i)
                     if (C.is_local(i, j))

@@ -31,11 +31,6 @@ inline double trsm_right(double m, double n) { return n * n * m; }
 
 inline double potrf(double n) { return n * n * n / 3.0 + n * n / 2.0; }
 
-inline double trmm(double m, double n) {
-    // Left side: B := alpha op(A) B with A m-by-m triangular, B m-by-n.
-    return m * m * n;
-}
-
 inline double unmqr(double m, double n, double k) {
     // Compact-WY applier on an m-by-n C with k reflectors, decomposed as
     // two unit-triangular trmm (k^2 n each), the op(T) trmm (k^2 n), two

@@ -41,16 +41,13 @@ inline char const* prec_name(Prec p) {
 
 /// Execution mode for float-typed packed gemms. Native leaves operands
 /// untouched; Bf16 truncates both packed operands to bf16 (fp32
-/// accumulation); Bf16Comp uses the TPU-paper compensated scheme: split each
-/// operand x = hi + lo with hi = bf16(x), lo = bf16(x - hi), and accumulate
-/// hi*hi + hi*lo + lo*hi in fp32 (the lo*lo term is dropped).
-enum class GemmMode : std::uint8_t { Native = 0, Bf16 = 1, Bf16Comp = 2 };
+/// accumulation).
+enum class GemmMode : std::uint8_t { Native = 0, Bf16 = 1 };
 
 inline char const* gemm_mode_name(GemmMode m) {
     switch (m) {
         case GemmMode::Native: return "native";
         case GemmMode::Bf16: return "bf16";
-        case GemmMode::Bf16Comp: return "bf16c";
     }
     return "?";
 }
@@ -115,17 +112,13 @@ inline float bf16_round(float x) {
     return r;
 }
 
-/// Low half for the compensated scheme: lo = bf16(x - bf16(x)).
-inline float bf16_low(float x) { return bf16_round(x - bf16_round(x)); }
-
 /// Value transform applied at pack time (see blas/kernel/pack.hh).
-enum class PackTrans : std::uint8_t { None = 0, Bf16Hi = 1, Bf16Lo = 2 };
+enum class PackTrans : std::uint8_t { None = 0, Bf16Hi = 1 };
 
 inline float apply_pack_trans(PackTrans t, float x) {
     switch (t) {
         case PackTrans::None: return x;
         case PackTrans::Bf16Hi: return bf16_round(x);
-        case PackTrans::Bf16Lo: return bf16_low(x);
     }
     return x;
 }

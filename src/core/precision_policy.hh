@@ -113,10 +113,6 @@ struct PrecisionPolicy {
     /// Force the last `tail_native` planned iterations (and every
     /// conv-driven iteration beyond the plan) onto the native rung.
     int tail_native = 1;
-    /// Use the TPU-paper compensated accumulation for bf16 gemms
-    /// (hi*hi + hi*lo + lo*hi in fp32; ~3x kernel time, ~1 extra mantissa
-    /// digit). Off runs plain truncated bf16.
-    bool compensated = false;
     /// Test hook: treat the first attempt of this iteration index (0-based)
     /// as a failed low-precision Cholesky and take the fallback promotion
     /// path. The forced failure happens before any work is submitted, so
@@ -162,12 +158,10 @@ inline Prec promote(Prec rung, Prec native) {
     return native;
 }
 
-/// Gemm mode of a low rung: simulated bf16 (plain or compensated) on the
-/// bf16 rung, plain arithmetic on every other rung.
-inline GemmMode gemm_mode(Prec rung, PrecisionPolicy const& pol) {
-    if (rung != Prec::Bf16)
-        return GemmMode::Native;
-    return pol.compensated ? GemmMode::Bf16Comp : GemmMode::Bf16;
+/// Gemm mode of a rung: simulated bf16 on the bf16 rung, plain arithmetic
+/// on every other rung.
+inline GemmMode gemm_mode(Prec rung) {
+    return rung == Prec::Bf16 ? GemmMode::Bf16 : GemmMode::Native;
 }
 
 /// Does `request` put a run of scalar kind `native` on the ladder at all?

@@ -38,8 +38,7 @@
 //                 O(n^3) iteration flops at the float rate.
 //   bf16 rung   — the float-rung body under an active bf16 gemm mode:
 //                 pack-time truncation of every gemm operand to bf16 with
-//                 fp32 accumulation (see blas/kernel/gemm.hh), optionally
-//                 compensated.
+//                 fp32 accumulation (see blas/kernel/gemm.hh).
 //
 // The l recurrence runs in double (prec::qdwh_weights — the same pure
 // function the plan, the distributed driver and the cost model use), so the
@@ -298,7 +297,7 @@ Status qdwh_run(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                             // Submission-side mode: captured into every
                             // task (and batch-group key) this scope emits.
                             prec::ScopedGemmMode mode_scope(
-                                prec::gemm_mode(rung, pol));
+                                prec::gemm_mode(rung));
                             qdwh_iter(eng, w, Scur, Soth, sws, opts);
                         }
                         la::convert_copy(eng, Soth, *oth);

@@ -337,8 +337,7 @@ Status zolo_pd_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                 Status const s = detail::low_precision_polar(
                     eng, A, H, opts.compute_h, opts.symmetrize_h, ref,
                     [&](auto& As) {
-                        prec::ScopedGemmMode mode_scope(
-                            prec::gemm_mode(rung, opts.precision));
+                        prec::ScopedGemmMode mode_scope(prec::gemm_mode(rung));
                         return zolo_pd_status(eng, As, {}, info, lo);
                     });
                 info.low_precision = s == Status::Ok;

@@ -342,44 +342,6 @@ SummaPlan choose_summa_plan(int P, std::int64_t m, std::int64_t n,
     return best;
 }
 
-QrTaskCounts qr_task_counts(int mt1, int nt, bool structured) {
-    QrTaskCounts c;
-    int const mt = mt1 + nt;
-    if (!structured) {
-        // set_identity(W2) + geqrf(W) + set_identity(Q) + ungqr(W -> Q).
-        c.init = static_cast<std::int64_t>(nt) * nt      // W2 := I
-                 + static_cast<std::int64_t>(mt) * nt;   // Q := I
-        for (int k = 0; k < nt; ++k) {
-            ++c.geqrt;
-            c.unmqr += nt - 1 - k;           // geqrf trailing row
-            c.tsqrt += mt - 1 - k;
-            c.tsmqr += static_cast<std::int64_t>(mt - 1 - k) * (nt - 1 - k);
-            c.tsmqr += static_cast<std::int64_t>(mt - 1 - k) * (nt - k);  // ungqr
-            c.unmqr += nt - k;               // ungqr geqrt row
-        }
-        return c;
-    }
-    // w2_init per panel + geqrf_stacked_tri + Q1 identity + q2_init
-    // off-diagonal zero fills + ungqr_stacked_tri.
-    c.init = static_cast<std::int64_t>(nt)                 // w2_init
-             + static_cast<std::int64_t>(mt1) * nt         // Q1 := [I; 0]
-             + static_cast<std::int64_t>(nt) * (nt - 1);   // q2_init
-    for (int k = 0; k < nt; ++k) {
-        ++c.geqrt;
-        c.unmqr += nt - 1 - k;
-        c.tsqrt += (mt1 - 1 - k) + k;  // W1 rows + W2 fill rows
-        c.tsmqr += static_cast<std::int64_t>(mt1 - 1) * (nt - 1 - k);
-        ++c.ttqrt;
-        c.ttmqr += nt - 1 - k;
-        // ungqr_stacked_tri: fill rows + W1 rows apply to columns k..nt-1,
-        // the ttmqr row likewise, then the geqrt row.
-        c.tsmqr += static_cast<std::int64_t>(mt1 - 1) * (nt - k);
-        c.ttmqr += nt - k;
-        c.unmqr += nt - k;
-    }
-    return c;
-}
-
 int CostModel::total_devices() const {
     return dev_ == Device::Gpu ? m_.nodes * m_.gpus : m_.nodes;
 }

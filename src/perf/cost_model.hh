@@ -108,29 +108,6 @@ SummaPlan choose_summa_plan(int P, std::int64_t m, std::int64_t n,
                             std::int64_t k, int nb, std::size_t elem_bytes,
                             bool deterministic, comm::CommPlan forced);
 
-/// Task-count breakdown of one stacked-QR factor + Q generation, by kernel.
-/// `init` counts the zero/identity initialization tasks (set_identity
-/// sweeps for the dense path; w2_init/q2_init for the structured one).
-struct QrTaskCounts {
-    std::int64_t geqrt = 0;
-    std::int64_t unmqr = 0;
-    std::int64_t tsqrt = 0;
-    std::int64_t tsmqr = 0;
-    std::int64_t ttqrt = 0;
-    std::int64_t ttmqr = 0;
-    std::int64_t init = 0;
-    std::int64_t total() const {
-        return geqrt + unmqr + tsqrt + tsmqr + ttqrt + ttmqr + init;
-    }
-};
-
-/// Exact task counts of geqrf + ungqr on the stacked [W1; W2] tile grid
-/// (W1 mt1 x nt, W2 nt x nt) — dense, or geqrf_stacked_tri +
-/// ungqr_stacked_tri when `structured`. Replays the submission loops, so
-/// counts match the engine's executed-task count for the pair exactly
-/// (tested in test_perf).
-QrTaskCounts qr_task_counts(int mt1, int nt, bool structured);
-
 enum class Schedule { TaskDataflow, ForkJoin };
 
 /// Kernel class determines the efficiency curve applied to a device.

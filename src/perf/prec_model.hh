@@ -192,13 +192,11 @@ inline QdwhPrecFlops qdwh_prec_kernel_flops(
 /// throughput ratios, not the simulation host: fp32 streams twice the
 /// elements of fp64 per cache line and runs twice the vector lanes (2x),
 /// and bf16 halves the traffic again (4x fp64 — conservative next to real
-/// tensor-core silicon at 8-16x). Compensated bf16 triples the gemm passes
-/// (hi*hi + hi*lo + lo*hi), so its rate is a third of plain bf16.
+/// tensor-core silicon at 8-16x).
 struct PrecRates {
     double native = 1.0;
     double flt = 2.0;
     double bf16 = 4.0;
-    double bf16_comp = 4.0 / 3.0;
 };
 
 /// Projected time (in native-rung flop-units) of a rung schedule relative
@@ -209,7 +207,6 @@ inline double qdwh_prec_time_model(std::vector<int> const& rows,
                                    std::vector<prec::Prec> const& rungs,
                                    int it_qr, bool structured, bool compute_h,
                                    double weight, prec::Prec native,
-                                   bool compensated = false,
                                    PrecRates const& rates = {}) {
     double const qr_fl = qr_iter_kernel_flops(rows, cols, structured, weight);
     double const ch_fl = chol_iter_kernel_flops(rows, cols, weight);
@@ -217,11 +214,8 @@ inline double qdwh_prec_time_model(std::vector<int> const& rows,
     for (std::size_t k = 0; k < rungs.size(); ++k) {
         double const fl = static_cast<int>(k) < it_qr ? qr_fl : ch_fl;
         double rate = rates.native;
-        if (rungs[k] != native) {
-            rate = rungs[k] == prec::Prec::Bf16
-                       ? (compensated ? rates.bf16_comp : rates.bf16)
-                       : rates.flt;
-        }
+        if (rungs[k] != native)
+            rate = rungs[k] == prec::Prec::Bf16 ? rates.bf16 : rates.flt;
         t += fl / rate;
     }
     if (compute_h)

@@ -103,8 +103,7 @@ struct SchedReport {
            << dag.avg_parallelism << "\n"
            << "  steals " << counters.steals << " (fraction "
            << sched.steal_fraction << "), local pops " << counters.local_pops
-           << ", global pops " << counters.global_pops << ", sleeps "
-           << counters.sleeps << "\n"
+           << ", sleeps " << counters.sleeps << "\n"
            << "  idle " << sched.idle << " worker-seconds, priority tasks "
            << sched.priority_tasks << "\n";
         if (measured_flops > 0) {

@@ -1,6 +1,7 @@
 #include "runtime/engine.hh"
 
 #include <algorithm>
+#include <deque>
 
 #include "common/error.hh"
 #include "common/precision.hh"
@@ -42,8 +43,7 @@ struct Engine::WorkerQueue {
     std::deque<Task*> low;
 };
 
-Engine::Engine(int num_threads, Mode mode, Sched sched)
-    : mode_(mode), sched_(sched) {
+Engine::Engine(int num_threads, Mode mode) : mode_(mode) {
     if (mode_ == Mode::Sequential)
         return;
     int n = num_threads;
@@ -155,18 +155,6 @@ void Engine::submit(char const* name, double flops,
 }
 
 void Engine::make_ready(Task* t, int src_worker) {
-    if (sched_ == Sched::GlobalQueue) {
-        {
-            std::lock_guard<std::mutex> lk(queue_mtx_);
-            if (t->priority > 0)
-                ready_.push_front(t);
-            else
-                ready_.push_back(t);
-        }
-        queue_cv_.notify_one();
-        return;
-    }
-
     size_t const nq = queues_.size();
     size_t const qi = (src_worker >= 0) ? static_cast<size_t>(src_worker)
                                         : (next_queue_++ % nq);
@@ -261,28 +249,6 @@ Engine::Task* Engine::steal(int thief_id) {
 }
 
 void Engine::worker_loop(int worker_id) {
-    if (sched_ == Sched::GlobalQueue) {
-        for (;;) {
-            Task* t = nullptr;
-            {
-                std::unique_lock<std::mutex> lk(queue_mtx_);
-                if (ready_.empty()) {
-                    sleeps_.fetch_add(1, std::memory_order_relaxed);
-                    queue_cv_.wait(lk, [&] {
-                        return shutdown_.load(std::memory_order_relaxed)
-                               || !ready_.empty();
-                    });
-                }
-                if (ready_.empty())
-                    return;  // shutdown with no work left
-                t = ready_.front();
-                ready_.pop_front();
-            }
-            global_pops_.fetch_add(1, std::memory_order_relaxed);
-            run_task(t, worker_id, false);
-        }
-    }
-
     for (;;) {
         Task* t = pop_local(worker_id);
         bool stolen = false;
@@ -437,7 +403,6 @@ Engine::SchedStats Engine::sched_stats() const {
     SchedStats s;
     s.local_pops = local_pops_.load(std::memory_order_relaxed);
     s.steals = steals_.load(std::memory_order_relaxed);
-    s.global_pops = global_pops_.load(std::memory_order_relaxed);
     s.sleeps = sleeps_.load(std::memory_order_relaxed);
     return s;
 }
@@ -446,7 +411,6 @@ void Engine::reset_stats() {
     tasks_executed_.store(0);
     local_pops_.store(0);
     steals_.store(0);
-    global_pops_.store(0);
     sleeps_.store(0);
     std::lock_guard<std::mutex> lk(stats_mtx_);
     flops_executed_ = 0;

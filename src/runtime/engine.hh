@@ -17,22 +17,18 @@
 //                 ScaLAPACK/POLAR that Section 3 identifies as the
 //                 state-of-the-art's bottleneck.
 //
-// Scheduler (Sched):
-//   WorkStealing (default) - one ready deque per worker. A worker pops its
-//     own deque LIFO (newest first, for cache locality with the task that
-//     just produced the data); an idle worker sweeps the other workers'
-//     deques and steals FIFO (oldest first, the task least likely to be hot
-//     in the victim's cache), taking half of the victim's backlog with it
-//     so fine-grained DAGs amortize the sweep over many tasks. Only when a
-//     local pop and a full steal sweep both fail does the worker sleep on a
-//     condition variable; a push wakes a worker only if one is actually
-//     asleep (sleeper-count gate), so the steady state where every worker
-//     is busy pays no wake-up traffic. Tasks released by a running task are
-//     pushed to that worker's own deque; tasks submitted by the driver
-//     thread are distributed round-robin.
-//   GlobalQueue - the pre-work-stealing scheduler: a single mutex-guarded
-//     FIFO shared by all workers. Kept selectable so bench_scheduler can
-//     measure what the decentralized queues buy at fine task granularity.
+// Scheduler: work stealing. Each worker has one ready deque. A worker pops
+// its own deque LIFO (newest first, for cache locality with the task that
+// just produced the data); an idle worker sweeps the other workers' deques
+// and steals FIFO (oldest first, the task least likely to be hot in the
+// victim's cache), taking half of the victim's backlog with it so
+// fine-grained DAGs amortize the sweep over many tasks. Only when a local
+// pop and a full steal sweep both fail does the worker sleep on a condition
+// variable; a push wakes a worker only if one is actually asleep
+// (sleeper-count gate), so the steady state where every worker is busy pays
+// no wake-up traffic. Tasks released by a running task are pushed to that
+// worker's own deque; tasks submitted by the driver thread are distributed
+// round-robin.
 //
 // Priority: submit() takes an optional integer priority (default 0). Each
 // deque keeps priority > 0 tasks in a separate high-priority lane that is
@@ -67,7 +63,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -79,9 +74,6 @@
 namespace tbp::rt {
 
 enum class Mode { Sequential, TaskDataflow, ForkJoin };
-
-/// Ready-queue organization of the worker pool.
-enum class Sched { GlobalQueue, WorkStealing };
 
 enum class AccessMode { Read, Write, ReadWrite };
 
@@ -119,20 +111,17 @@ public:
     struct SchedStats {
         std::uint64_t local_pops = 0;   ///< tasks popped from the owner deque
         std::uint64_t steals = 0;       ///< tasks stolen from a victim deque
-        std::uint64_t global_pops = 0;  ///< GlobalQueue-mode dequeues
         std::uint64_t sleeps = 0;       ///< times a worker blocked on the cv
     };
 
     /// num_threads <= 0 picks std::thread::hardware_concurrency().
-    explicit Engine(int num_threads = 0, Mode mode = Mode::TaskDataflow,
-                    Sched sched = Sched::WorkStealing);
+    explicit Engine(int num_threads = 0, Mode mode = Mode::TaskDataflow);
     ~Engine();
 
     Engine(Engine const&) = delete;
     Engine& operator=(Engine const&) = delete;
 
     Mode mode() const { return mode_; }
-    Sched sched() const { return sched_; }
     int num_threads() const { return static_cast<int>(workers_.size()); }
 
     /// Submit a task. Must be called from a single submitter thread (the
@@ -208,19 +197,17 @@ private:
     bool queues_empty() const;
 
     Mode mode_;
-    Sched sched_;
     std::vector<std::thread> workers_;
 
-    // Sleep/wake and GlobalQueue state. queue_mtx_ guards ready_ (GlobalQueue
-    // mode only) and brackets every notify so cv waiters cannot miss a wake.
+    // Sleep/wake state. queue_mtx_ brackets every notify so cv waiters
+    // cannot miss a wake.
     std::mutex queue_mtx_;
     std::condition_variable queue_cv_;
     std::condition_variable idle_cv_;
-    std::deque<Task*> ready_;  // GlobalQueue mode; high priority at the front
     std::atomic<bool> shutdown_{false};
     std::atomic<std::uint64_t> outstanding_{0};
 
-    // WorkStealing state: one deque pair per worker. sleepers_ gates the
+    // Work-stealing state: one deque pair per worker. sleepers_ gates the
     // notify in make_ready (paired with the sleeper's lock-sweep of every
     // deque, see queues_empty()) so a push with every worker busy skips the
     // wake entirely.
@@ -236,7 +223,6 @@ private:
     std::atomic<std::uint64_t> tasks_executed_{0};
     std::atomic<std::uint64_t> local_pops_{0};
     std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> global_pops_{0};
     std::atomic<std::uint64_t> sleeps_{0};
     mutable std::mutex stats_mtx_;
     double flops_executed_ = 0;  // guarded by stats_mtx_

@@ -5,7 +5,7 @@
 // inputs: gemm across all op combinations, odd/fringe sizes (deliberately
 // not multiples of any MR/NR/MC/KC), strided sub-views with ld > mb, and the
 // alpha/beta corner cases including the beta == 0 store-zeros convention.
-// herk/trsm/trmm and the Householder appliers run their public entries
+// herk/trsm and the Householder appliers run their public entries
 // against the *_naive oracles over a sweep of tile sizes around the
 // recursion's base case (kTriBase = 16) and the production tiles 64 and 192,
 // on strided sub-views; geqrt/tsqrt/ttqrt must store T with an exactly zero
@@ -187,9 +187,10 @@ TYPED_TEST(BlasKernel, GemmSubViewsLdGtMb) {
         for (int i = 0; i < M; ++i) {
             bool const inside =
                 i >= 29 && i < 29 + m && j >= 17 && j < 17 + n;
-            if (!inside)
+            if (!inside) {
                 ASSERT_EQ(Cbig(i, j), Cframe(i, j))
                     << "frame touched at (" << i << "," << j << ")";
+            }
         }
 }
 
@@ -345,25 +346,6 @@ TYPED_TEST(BlasKernel, TrsmMatchesNaiveSweep) {
                             << " op=" << static_cast<int>(op)
                             << " diag=" << static_cast<int>(diag);
                     }
-}
-
-TYPED_TEST(BlasKernel, TrmmMatchesNaiveSweep) {
-    using T = TypeParam;
-    T const alpha = from_real<T>(real_t<T>(-0.75));
-    for (int n : kSweep)
-        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-            for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
-                for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-                    Framed<T> A(n, n, 71 + n);
-                    Framed<T> B(n, std::min(n, 64) + 2, 81 + n);
-                    blas::trmm_naive(uplo, op, diag, alpha, A.tile(),
-                                     B.oracle());
-                    blas::trmm(uplo, op, diag, alpha, A.tile(), B.tile());
-                    EXPECT_TRUE(framed_close(B, n))
-                        << "n=" << n << " uplo=" << static_cast<int>(uplo)
-                        << " op=" << static_cast<int>(op)
-                        << " diag=" << static_cast<int>(diag);
-                }
 }
 
 TYPED_TEST(BlasKernel, UnmqrMatchesNaiveSweep) {

@@ -1,4 +1,4 @@
-// Tile-level herk / trsm / trmm kernels vs dense references.
+// Tile-level herk / trsm / trmm_naive kernels vs dense references.
 
 #include <gtest/gtest.h>
 
@@ -139,7 +139,8 @@ TYPED_TEST(BlasLevel3, TrmmMatchesDense) {
     for (auto uplo : {Uplo::Lower, Uplo::Upper}) {
         for (auto op : {Op::NoTrans, Op::ConjTrans}) {
             auto X = B;
-            blas::trmm(uplo, op, Diag::NonUnit, T(2), as_tile(A), as_tile(X));
+            blas::trmm_naive(uplo, op, Diag::NonUnit, T(2), as_tile(A),
+                             as_tile(X));
             ref::Dense<T> Atri(m, m);
             for (int j = 0; j < m; ++j)
                 for (int i = 0; i < m; ++i)
@@ -158,7 +159,8 @@ TYPED_TEST(BlasLevel3, TrmmUnitDiag) {
     auto A = ref::random_dense<T>(m, m, 8);
     auto B = ref::random_dense<T>(m, 3, 9);
     auto X = B;
-    blas::trmm(Uplo::Lower, Op::NoTrans, Diag::Unit, T(1), as_tile(A), as_tile(X));
+    blas::trmm_naive(Uplo::Lower, Op::NoTrans, Diag::Unit, T(1), as_tile(A),
+                     as_tile(X));
     ref::Dense<T> Atri(m, m);
     for (int j = 0; j < m; ++j)
         for (int i = 0; i < m; ++i)

@@ -357,10 +357,14 @@ void check_collectives(int P, comm::coll::Config cfg) {
 }  // namespace
 
 TEST(CommColl, NonPowerOfTwoRanksAllTypes) {
+    using comm::coll::Algo;
     for (int P : {3, 5, 6, 7}) {
-        for (bool legacy : {false, true}) {
+        for (bool linear : {false, true}) {
+            // Default (Auto) selection, then the all-Linear oracle.
             comm::coll::Config cfg;
-            cfg.legacy = legacy;
+            if (linear)
+                cfg.bcast = cfg.reduce = cfg.allreduce = cfg.allgather =
+                    Algo::Linear;
             check_collectives<float>(P, cfg);
             check_collectives<double>(P, cfg);
             check_collectives<std::complex<float>>(P, cfg);
@@ -414,7 +418,7 @@ std::vector<double> run_allreduce(int P, comm::coll::Algo algo,
 TEST(CommColl, RankOrderedAlgosBitIdentical) {
     // Linear, Tree, and RecDouble all fold contributions in ascending rank
     // order, so with rounding-sensitive doubles the results must agree to
-    // the last bit — the property that lets the engine replace the legacy
+    // the last bit — the property that lets the engine replace the linear
     // collectives without perturbing any numerical result.
     using comm::coll::Algo;
     for (int P : {3, 4, 6, 7, 8}) {

@@ -1,8 +1,8 @@
-// Comm/compute integration: the pipelined (nonblocking) staging paths and
-// the task-runtime communication tasks must reproduce the legacy blocking
-// oracle bit-for-bit — same kernels, same values, same combine order — for
-// every scalar type and a sweep of process grids, while the traffic
-// counters stay leak-free.
+// Comm/compute integration: the default collectives and the task-runtime
+// communication tasks must reproduce the all-Linear collective oracle
+// bit-for-bit — same kernels, same values, same combine order — for every
+// scalar type and a sweep of process grids, while the traffic counters stay
+// leak-free.
 
 #include <gtest/gtest.h>
 
@@ -25,14 +25,16 @@ std::vector<std::pair<int, int>> const kGrids = {
     {1, 1}, {2, 1}, {3, 1}, {2, 2}, {4, 2}};  // P = 1, 2, 3, 4, 8
 
 /// Replicated grids: layer 0's own SUMMA steps run through the same
-/// pipelined/legacy step loop as the 2D grids.
+/// pipelined step loop as the 2D grids.
 std::vector<comm::ProcGrid3d> const kGrids25 = {{2, 1, 2}, {2, 2, 2}};
 
 comm::coll::Config engine_cfg() { return comm::coll::Config{}; }
 
-comm::coll::Config legacy_cfg() {
+/// The reference oracle: every collective on its Linear path.
+comm::coll::Config linear_cfg() {
+    using comm::coll::Algo;
     comm::coll::Config cfg;
-    cfg.legacy = true;
+    cfg.bcast = cfg.reduce = cfg.allreduce = cfg.allgather = Algo::Linear;
     return cfg;
 }
 
@@ -89,7 +91,7 @@ std::vector<T> run_qr(ref::Dense<T> const& Ad, int nb, Grid g,
 }
 
 template <typename T>
-void check_qdwh_engine_vs_legacy() {
+void check_qdwh_engine_vs_linear() {
     int const n = 16, nb = 4;
     gen::MatGenOptions opt;
     opt.cond = 1e4;  // engages the QR branch before the Cholesky branch
@@ -102,9 +104,9 @@ void check_qdwh_engine_vs_legacy() {
     for (auto [p, q] : kGrids)
         grids.push_back({p, q, 1});
     for (auto g3 : grids) {
-        auto legacy = run_dqdwh(Ad, nb, g3, legacy_cfg(), l0);
+        auto linear = run_dqdwh(Ad, nb, g3, linear_cfg(), l0);
         auto engine = run_dqdwh(Ad, nb, g3, engine_cfg(), l0);
-        EXPECT_TRUE(bits_equal(legacy, engine))
+        EXPECT_TRUE(bits_equal(linear, engine))
             << g3.p << "x" << g3.q << "x" << g3.c;
     }
 }
@@ -112,16 +114,16 @@ void check_qdwh_engine_vs_legacy() {
 }  // namespace
 
 TEST(CommEngine, QdwhBitIdenticalFloat) {
-    check_qdwh_engine_vs_legacy<float>();
+    check_qdwh_engine_vs_linear<float>();
 }
 TEST(CommEngine, QdwhBitIdenticalDouble) {
-    check_qdwh_engine_vs_legacy<double>();
+    check_qdwh_engine_vs_linear<double>();
 }
 TEST(CommEngine, QdwhBitIdenticalComplexFloat) {
-    check_qdwh_engine_vs_legacy<std::complex<float>>();
+    check_qdwh_engine_vs_linear<std::complex<float>>();
 }
 TEST(CommEngine, QdwhBitIdenticalComplexDouble) {
-    check_qdwh_engine_vs_legacy<std::complex<double>>();
+    check_qdwh_engine_vs_linear<std::complex<double>>();
 }
 
 TEST(CommEngine, QrPipelineBitIdentical) {
@@ -130,9 +132,9 @@ TEST(CommEngine, QrPipelineBitIdentical) {
     auto Ad = ref::random_dense<T>(m, n, 612);
     for (auto [p, q] : kGrids) {
         Grid g{p, q};
-        auto legacy = run_qr(Ad, nb, g, legacy_cfg());
+        auto linear = run_qr(Ad, nb, g, linear_cfg());
         auto engine = run_qr(Ad, nb, g, engine_cfg());
-        EXPECT_TRUE(bits_equal(legacy, engine)) << p << "x" << q;
+        EXPECT_TRUE(bits_equal(linear, engine)) << p << "x" << q;
     }
 }
 

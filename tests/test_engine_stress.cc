@@ -56,41 +56,26 @@ TEST(EngineStress, RandomDagMatchesSequential) {
     rt::Engine seq(0, rt::Mode::Sequential);
     auto const ref = run_random_program(seq, 10, 4000, 99);
     for (int threads : {2, 4, 8}) {
-        rt::Engine eng(threads, rt::Mode::TaskDataflow, rt::Sched::WorkStealing);
+        rt::Engine eng(threads);
         auto const got = run_random_program(eng, 10, 4000, 99);
         EXPECT_EQ(got, ref) << "threads=" << threads;
     }
 }
 
-TEST(EngineStress, GlobalQueueMatchesSequential) {
-    rt::Engine seq(0, rt::Mode::Sequential);
-    auto const ref = run_random_program(seq, 10, 4000, 123);
-    rt::Engine eng(4, rt::Mode::TaskDataflow, rt::Sched::GlobalQueue);
-    auto const got = run_random_program(eng, 10, 4000, 123);
-    EXPECT_EQ(got, ref);
-}
-
 TEST(EngineStress, PopAccountingCoversAllTasks) {
-    // Every executed task was obtained by exactly one of: local pop, steal,
-    // or (in the other mode) a global-queue pop.
-    rt::Engine eng(4, rt::Mode::TaskDataflow, rt::Sched::WorkStealing);
+    // Every executed task was obtained by exactly one of: local pop or
+    // steal.
+    rt::Engine eng(4);
     run_random_program(eng, 8, 3000, 7);
     auto const s = eng.sched_stats();
     EXPECT_EQ(s.local_pops + s.steals, eng.tasks_executed());
-    EXPECT_EQ(s.global_pops, 0u);
-
-    rt::Engine gq(4, rt::Mode::TaskDataflow, rt::Sched::GlobalQueue);
-    run_random_program(gq, 8, 3000, 7);
-    auto const g = gq.sched_stats();
-    EXPECT_EQ(g.global_pops, gq.tasks_executed());
-    EXPECT_EQ(g.local_pops + g.steals, 0u);
 }
 
 TEST(EngineStress, StealPathMovesFanOutWork) {
     // One root task fans out to many independent children. The children are
     // all released onto the finishing worker's own deque, so every other
     // worker can only obtain them by stealing.
-    rt::Engine eng(4, rt::Mode::TaskDataflow, rt::Sched::WorkStealing);
+    rt::Engine eng(4);
     int const fan = 256;
     int root_key = 0;
     std::vector<int> child_keys(static_cast<size_t>(fan), 0);
@@ -125,7 +110,7 @@ TEST(EngineStress, PriorityTaskRunsBeforeQueuedBulk) {
     // Single worker: while it is pinned on a blocker task, queue low-priority
     // tasks and then one high-priority task; the high-priority task must be
     // the first of the queued batch to execute.
-    rt::Engine eng(1, rt::Mode::TaskDataflow, rt::Sched::WorkStealing);
+    rt::Engine eng(1);
     std::atomic<bool> started{false};
     std::atomic<bool> release{false};
     std::mutex order_mtx;

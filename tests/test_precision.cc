@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "comm/dist_qdwh.hh"
@@ -210,31 +212,45 @@ TEST(PrecisionLadder, DistNonFiniteInputThrowsOnEveryRank) {
     rt::Engine eng(2);
     auto At = gen::cond_matrix<T>(eng, n, n, nb, opt);
     auto Ad = ref::to_dense(At);
+    Grid const g{2, 2};
+    // Runs dist_qdwh on A(i, j) = entry(i, j) and reports whether every
+    // rank threw tbp::Error with the same message. A rank that throws alone
+    // leaves its peers blocked in recv, so a failure here shows as a hang.
+    auto every_rank_throws = [&](auto entry, double l0, int max_iter,
+                                 prec::PrecisionPolicy const& pol) {
+        std::vector<std::string> what(static_cast<std::size_t>(g.size()));
+        comm::World world(g.size());
+        world.run([&](comm::Communicator& c) {
+            comm::DistMatrix<T> A(c, n, n, nb, g);
+            A.fill(entry);
+            try {
+                comm::dist_qdwh(c, g, A, l0, max_iter, pol);
+            } catch (Error const& e) {
+                what[static_cast<std::size_t>(c.rank())] = e.what();
+            }
+        });
+        return !what[0].empty()
+               && std::count(what.begin(), what.end(), what[0]) == g.size();
+    };
     for (T bad : {std::numeric_limits<T>::quiet_NaN(),
                   std::numeric_limits<T>::infinity()}) {
+        auto entry = [&](std::int64_t i, std::int64_t j) {
+            return i == 9 && j == 14 ? bad : Ad(i, j);
+        };
         for (auto req : {prec::Precision::Native, prec::Precision::Adaptive}) {
             prec::PrecisionPolicy pol;
             pol.request = req;
-            Grid g{2, 2};
-            std::vector<int> threw(static_cast<std::size_t>(g.size()), 0);
-            comm::World world(g.size());
-            world.run([&](comm::Communicator& c) {
-                comm::DistMatrix<T> A(c, n, n, nb, g);
-                A.fill([&](std::int64_t i, std::int64_t j) {
-                    return i == 9 && j == 14 ? bad : Ad(i, j);
-                });
-                try {
-                    comm::dist_qdwh(c, g, A, 1e-12, 1, pol);
-                } catch (Error const&) {
-                    threw[static_cast<std::size_t>(c.rank())] = 1;
-                }
-            });
-            for (int r = 0; r < g.size(); ++r)
-                EXPECT_EQ(threw[static_cast<std::size_t>(r)], 1)
-                    << bad << " " << prec::precision_name(req) << " rank "
-                    << r;
+            // l0 = 1e-12 starts on the QR branch; l0 = 0.5 starts on the
+            // Cholesky branch, whose potrf fails on one rank only. 30 is the
+            // default max_iter.
+            EXPECT_TRUE(every_rank_throws(entry, 1e-12, 1, pol))
+                << bad << " " << prec::precision_name(req) << " l0=1e-12";
+            EXPECT_TRUE(every_rank_throws(entry, 0.5, 30, pol))
+                << bad << " " << prec::precision_name(req) << " l0=0.5";
         }
     }
+    auto zero = [](std::int64_t, std::int64_t) { return T(0); };
+    EXPECT_TRUE(every_rank_throws(zero, 0.5, 30, {}));
 }
 
 // Ill-conditioned double-kind inputs must actually engage low rungs (the

@@ -185,18 +185,6 @@ TEST(Runtime, ManyThreadsManyTasks) {
     EXPECT_EQ(sum.load(), 5000);
 }
 
-TEST(Runtime, GlobalQueueModeKeepsDependencySemantics) {
-    // The legacy single-queue scheduler stays selectable (bench baseline)
-    // and must honor the same dataflow ordering.
-    rt::Engine eng(4, rt::Mode::TaskDataflow, rt::Sched::GlobalQueue);
-    long sum = 0;
-    for (int i = 1; i <= 1000; ++i)
-        eng.submit("acc", {rt::readwrite(&sum)}, [&sum, i] { sum += i; });
-    eng.wait();
-    EXPECT_EQ(sum, 500500);
-    EXPECT_EQ(eng.sched_stats().global_pops, 1000u);
-}
-
 TEST(Runtime, TraceRecordsPriorityAndWorker) {
     rt::Engine eng(2);
     eng.set_trace(true);

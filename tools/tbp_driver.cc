@@ -7,7 +7,7 @@
 //              [--m M] [--n N] [--nb NB] [--cond KAPPA]
 //              [--dist geom|arith|cluster|loguni]
 //              [--type s|d|c|z] [--mode task|forkjoin|seq]
-//              [--sched steal|global] [--threads T] [--seed S] [--r R]
+//              [--threads T] [--seed S] [--r R]
 //              [--jobs J] [--rate R] [--fifo] [--verbose]
 //
 // Examples:
@@ -58,14 +58,13 @@ struct Args {
     gen::SigmaDist dist = gen::SigmaDist::Geometric;
     char type = 'd';
     rt::Mode mode = rt::Mode::TaskDataflow;
-    rt::Sched sched = rt::Sched::WorkStealing;
     int threads = 3;
     std::uint64_t seed = 42;
     int r = 8;
     bool verbose = false;
     int ranks = 4;             // --algo dqdwh: virtual ranks
     int gp = 0, gq = 0;        // process grid (0 -> auto near-square)
-    std::string comm = "engine";  // engine | legacy | ring
+    std::string comm = "engine";  // engine | ring
     comm::CommPlan comm_plan = comm::CommPlan::Auto;  // --comm-plan
     int jobs = 200;            // --algo serve: batch size
     double rate = 0;           // arrival rate jobs/s (0 -> submit at once)
@@ -75,7 +74,6 @@ struct Args {
     prec::Precision precision = prec::Precision::Native;  // --precision
     double rung_safety = 0;    // --rung-safety (0 = policy default)
     int tail_native = -1;      // --tail-native (-1 = policy default)
-    bool compensated = false;  // --compensated bf16 accumulation
     // --- fault plane (dqdwh, serve) ---------------------------------------
     std::string fault_plan = "off";  // off|drop|delay|dup|corrupt|slow|poison|mix
     std::uint64_t fault_seed = 1;    // chaos seed (replayable)
@@ -114,17 +112,15 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "serve] [--m M] [--n N]\n"
                  "          [--nb NB] [--cond K] [--dist geom|arith|cluster|"
                  "loguni]\n"
-                 "          [--type s|d|c|z] [--mode task|forkjoin|seq] "
-                 "[--sched steal|global]\n"
+                 "          [--type s|d|c|z] [--mode task|forkjoin|seq]\n"
                  "          [--threads T] [--seed S] [--r R] [--verbose]\n"
-                 "          [--ranks P] [--grid PxQ] [--comm engine|legacy|"
-                 "ring]\n"
+                 "          [--ranks P] [--grid PxQ] [--comm engine|ring]\n"
                  "          [--comm-plan auto|2d|2.5d]\n"
                  "          [--jobs J] [--rate JOBS_PER_SEC] [--fifo]\n"
                  "          [--lookahead D]\n"
                  "          [--precision double|float|bf16|adaptive] "
                  "[--rung-safety S]\n"
-                 "          [--tail-native K] [--compensated]\n"
+                 "          [--tail-native K]\n"
                  "\n"
                  "  --lookahead D prioritizes trailing updates feeding the "
                  "next D panels.\n"
@@ -137,9 +133,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "  that rung; --rung-safety S tightens/loosens the "
                  "admissibility bound\n"
                  "  u <= S * l_{k+1}, --tail-native K forces the last K "
-                 "iterations native,\n"
-                 "  --compensated turns on the 3-pass compensated bf16 "
-                 "accumulation.\n"
+                 "iterations native.\n"
                  "  --algo dqdwh runs the distributed QDWH over P virtual "
                  "ranks.\n"
                  "  --algo serve runs a mixed qdwh/zolo/posv/geqrf batch of "
@@ -151,10 +145,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "  the priority split for an A/B baseline.\n"
                  "  --comm selects the collective algorithms: 'engine' "
                  "(tree/recursive-\n"
-                 "  doubling, pipelined staging), 'legacy' (linear reference "
-                 "oracle —\n"
-                 "  results must be bit-identical to engine), 'ring' "
-                 "(bandwidth-optimal\n"
+                 "  doubling, pipelined staging), 'ring' (bandwidth-optimal\n"
                  "  allreduce; re-associates, deterministic only at fixed "
                  "P).\n"
                  "  --comm-plan picks the SUMMA variant for dqdwh's trailing "
@@ -225,16 +216,6 @@ Args parse(int argc, char** argv) {
                 std::fprintf(stderr, "unknown --mode %s\n", m.c_str());
                 usage(argv[0]);
             }
-        } else if (!std::strcmp(argv[i], "--sched")) {
-            std::string sc = need("--sched");
-            if (sc == "steal") {
-                a.sched = rt::Sched::WorkStealing;
-            } else if (sc == "global") {
-                a.sched = rt::Sched::GlobalQueue;
-            } else {
-                std::fprintf(stderr, "unknown --sched %s\n", sc.c_str());
-                usage(argv[0]);
-            }
         } else if (!std::strcmp(argv[i], "--threads")) {
             a.threads = std::atoi(need("--threads"));
         } else if (!std::strcmp(argv[i], "--seed")) {
@@ -276,11 +257,9 @@ Args parse(int argc, char** argv) {
             a.rung_safety = std::atof(need("--rung-safety"));
         } else if (!std::strcmp(argv[i], "--tail-native")) {
             a.tail_native = std::atoi(need("--tail-native"));
-        } else if (!std::strcmp(argv[i], "--compensated")) {
-            a.compensated = true;
         } else if (!std::strcmp(argv[i], "--comm")) {
             a.comm = need("--comm");
-            if (a.comm != "engine" && a.comm != "legacy" && a.comm != "ring") {
+            if (a.comm != "engine" && a.comm != "ring") {
                 std::fprintf(stderr, "unknown --comm %s\n", a.comm.c_str());
                 usage(argv[0]);
             }
@@ -360,13 +339,12 @@ prec::PrecisionPolicy make_policy(Args const& a) {
         pol.rung_safety = a.rung_safety;
     if (a.tail_native >= 0)
         pol.tail_native = a.tail_native;
-    pol.compensated = a.compensated;
     return pol;
 }
 
 template <typename T>
 int run_tiled(Args const& a) {
-    rt::Engine eng(a.threads, a.mode, a.sched);
+    rt::Engine eng(a.threads, a.mode);
     gen::MatGenOptions opt;
     opt.cond = a.cond;
     opt.dist = a.dist;
@@ -537,9 +515,7 @@ int run_dist(Args const& a) {
     auto Ad = ref::to_dense(gen::cond_matrix<T>(eng, a.m, a.n, a.nb, opt));
 
     comm::coll::Config cfg;
-    if (a.comm == "legacy") {
-        cfg.legacy = true;
-    } else if (a.comm == "ring") {
+    if (a.comm == "ring") {
         cfg.allreduce = comm::coll::Algo::Ring;
         cfg.allgather = comm::coll::Algo::Ring;
         cfg.deterministic = false;
@@ -550,7 +526,7 @@ int run_dist(Args const& a) {
     auto const plan = perf::choose_summa_plan(a.ranks, a.m, a.n, a.n, a.nb,
                                               sizeof(T), cfg.deterministic,
                                               a.comm_plan);
-    // c == 1 keeps the legacy behavior exactly (including an explicit
+    // c == 1 keeps the 2D behavior exactly (including an explicit
     // --grid); c > 1 uses the plan's near-square layer grid.
     comm::ProcGrid3d g3 = plan.c == 1
                               ? comm::ProcGrid3d{a.gp, a.gq, 1}
@@ -640,7 +616,7 @@ int run_dist(Args const& a) {
 /// Batched service mode: a mixed workload through src/service/, reporting
 /// jobs/sec and per-QoS-class latency percentiles.
 int run_serve(Args const& a) {
-    rt::Engine eng(a.threads, rt::Mode::TaskDataflow, a.sched);
+    rt::Engine eng(a.threads);
     auto const plan_f = make_fault_plan(a);
     svc::ServiceOptions so;
     so.fifo = a.fifo;
