@@ -14,12 +14,12 @@
 //   bench_gemm_kernel                 full sweep, console table +
 //                                     BENCH_gemm_kernel.json
 //   bench_gemm_kernel --json PATH     write the JSON document to PATH
-//   bench_gemm_kernel --smoke         fast ctest mode: one mid-size double
-//                                     tile, asserts the micro path is no
-//                                     slower than naive and bit-level sane,
-//                                     and that every tile kernel's public
-//                                     entry (panels included) matches its
-//                                     naive form at nb=64
+//   bench_gemm_kernel --smoke         fast ctest mode: one mid-size tile
+//                                     per scalar type, asserts the micro
+//                                     path beats naive and agrees with it,
+//                                     and that every double tile kernel's
+//                                     public entry (panels included)
+//                                     matches its naive form at nb=64
 //
 // TBP_SIZES="64,128" overrides the gemm sweep sizes.
 
@@ -389,29 +389,39 @@ bool tile_kernels_match(int nb, double tol) {
     return ok;
 }
 
-int run_smoke() {
-    // Mid-size double tile: the micro path must beat the naive loops and
-    // agree numerically. Kept fast (~1 s) so it can run inside ctest.
+/// The micro path at n = 192 must beat the naive loops by 5 % and agree
+/// with them to `tol`: a vectorizer cliff in one type's micro-kernel shape
+/// (MR = 16 collapses to a few GF/s) fails this check.
+template <typename T>
+bool gemm_beats_naive(double tol) {
     int const n = 192;
-    aligned_vector<double> a(static_cast<std::size_t>(n) * n);
-    aligned_vector<double> b(a.size()), c0(a.size()), c(a.size()),
+    aligned_vector<T> a(static_cast<std::size_t>(n) * n);
+    aligned_vector<T> b(a.size()), c0(a.size()), c(a.size()),
         scratch(a.size());
     fill(a, 101);
     fill(b, 202);
     fill(c0, 303);
-    Tile<double> A(a.data(), n, n, n), B(b.data(), n, n, n),
-        C(c.data(), n, n, n);
+    Tile<T> A(a.data(), n, n, n), B(b.data(), n, n, n), C(c.data(), n, n, n);
 
-    auto naive = time_path<double>(false, n, A, B, c0, C);
-    auto micro = time_path<double>(true, n, A, B, c0, C);
-    double const diff = path_diff<double>(A, B, c0, C, scratch);
+    auto naive = time_path<T>(false, n, A, B, c0, C);
+    auto micro = time_path<T>(true, n, A, B, c0, C);
+    double const diff = path_diff<T>(A, B, c0, C, scratch);
     double const speedup = micro.gflops / naive.gflops;
 
-    std::printf("smoke: d n=%d naive %.2f GF/s micro %.2f GF/s speedup "
+    std::printf("smoke: %s n=%d naive %.2f GF/s micro %.2f GF/s speedup "
                 "%.2fx maxdiff %.2e\n",
-                n, naive.gflops, micro.gflops, speedup, diff);
-    bool const tiles_ok = tile_kernels_match<double>(64, 1e-12);
-    bool const ok = speedup >= 1.05 && diff < 1e-12 && tiles_ok;
+                type_name(T{}), n, naive.gflops, micro.gflops, speedup, diff);
+    return speedup >= 1.05 && diff < tol;
+}
+
+int run_smoke() {
+    // One mid-size tile per type plus the double tile kernels. Kept fast
+    // (a few seconds) so it can run inside ctest.
+    bool ok = gemm_beats_naive<float>(1e-5);
+    ok = gemm_beats_naive<double>(1e-12) && ok;
+    ok = gemm_beats_naive<std::complex<float>>(1e-5) && ok;
+    ok = gemm_beats_naive<std::complex<double>>(1e-12) && ok;
+    ok = tile_kernels_match<double>(64, 1e-12) && ok;
     std::printf("smoke: %s\n", ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
 }

@@ -70,11 +70,15 @@ namespace tbp::blas {
 /// Generate a Householder reflector for the vector [alpha; x] of length
 /// 1 + n_tail such that (I - tau v v^H)^H [alpha; x] = [beta; 0] with beta
 /// real. On return x holds the tail of v (v(0) = 1 implicit), alpha is
-/// untouched; returns {beta, tau}.
+/// untouched; returns {tau, beta}.
+///
+/// tau comes first so that a complex<float> tau starts the struct's first
+/// eightbyte: behind a 4-byte beta it would straddle two, a layout whose
+/// x86-64 calling convention changed in GCC 4.4 (GCC notes every return).
 template <typename T>
 struct LarfgResult {
-    real_t<T> beta;
     T tau;
+    real_t<T> beta;
 };
 
 template <typename T>
@@ -91,7 +95,7 @@ LarfgResult<T> larfg(T alpha, int n_tail, T* x, int incx = 1) {
 
     if (xnorm_sq == R(0) && alpha_im == R(0)) {
         // Already in the desired form; H = I.
-        return {alpha_re, T(0)};
+        return {T(0), alpha_re};
     }
 
     R beta = std::sqrt(alpha_re * alpha_re + alpha_im * alpha_im + xnorm_sq);
@@ -108,7 +112,7 @@ LarfgResult<T> larfg(T alpha, int n_tail, T* x, int incx = 1) {
     for (int i = 0; i < n_tail; ++i)
         x[i * incx] *= scal;
 
-    return {beta, tau};
+    return {tau, beta};
 }
 
 /// QR factorization of tile A (mb-by-nb, mb >= 1) by the element loops:

@@ -21,6 +21,13 @@
 // itself is unchanged — it accumulates the truncated operands in fp32,
 // which is exactly the bf16-in/fp32-accumulate contract of real matrix
 // units. Double-typed packs never consult the transform.
+//
+// Where the loops compile: these templates are inlined into kernel::gemm
+// and compile at -O2 in every TU that includes this header. Moving them
+// into the -O3 target_clones TU (microkernel.cc) as per-type overloads
+// made a 16^3 and 32^3 double gemm ~1.7x faster in best-of timing, but did
+// not beat the inline loops on double 64^3 in bench_gemm_kernel (4 of 10
+// alternating runs, median 29.0 against 30.1 GF/s), so they stay here.
 
 #pragma once
 

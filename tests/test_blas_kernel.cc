@@ -133,6 +133,18 @@ TYPED_TEST(BlasKernel, GemmFringeSizes) {
     check_gemm_paths<T>(Op::NoTrans, Op::NoTrans, 257, 129, 96, alpha, beta);
 }
 
+TEST(BlasKernelDouble, GemmStripBoundarySweep) {
+    // m around every multiple of the double MR (32) and the MC panel (96),
+    // n around NR (6): full strips, fringe strips and single rows.
+    for (int m : {1, 16, 31, 32, 33, 63, 64, 65, 95, 96, 97, 129})
+        for (int n : {5, 6, 7})
+            for (Op opA : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                for (Op opB : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                    for (double beta : {0.0, 1.0})
+                        check_gemm_paths<double>(opA, opB, m, n, 37, -0.75,
+                                                 beta);
+}
+
 TYPED_TEST(BlasKernel, GemmAlphaBetaCorners) {
     using T = TypeParam;
     int const m = 41, n = 23, k = 19;
