@@ -60,12 +60,11 @@ std::string rung_string(std::vector<prec::Prec> const& rungs) {
 
 /// Exact per-bucket comparison of the measured kernel counters against the
 /// cost-model replay (valid only for kernel_flops_exact runs).
-bool prec_model_match(QdwhInfo const& info, std::vector<int> const& cols,
-                      bool structured) {
+bool prec_model_match(QdwhInfo const& info, std::vector<int> const& cols) {
     if (!info.kernel_flops_exact)
         return false;
     auto const model = perf::qdwh_prec_kernel_flops(
-        cols, cols, info.rungs, info.it_qr, structured, /*compute_h=*/true,
+        cols, cols, info.rungs, info.it_qr, /*compute_h=*/true,
         fma_flops<double>() / 2.0, prec::Prec::Double);
     for (std::size_t p = 0; p < static_cast<std::size_t>(prec::kNumPrec); ++p)
         if (model.by_prec[p] != info.kernel_flops_by_prec[p])
@@ -96,17 +95,15 @@ RunOut run_one(int threads, std::int64_t n, int nb, double cond,
     }
     out.acc = bench::accuracy(Ad, A, H);
     out.model_match =
-        prec_model_match(out.info, TiledMatrix<double>::chop(n, nb),
-                         qo.structured_qr);
+        prec_model_match(out.info, TiledMatrix<double>::chop(n, nb));
     return out;
 }
 
 /// Projected time of a run's executed schedule under the hardware-class
 /// rate model (native flop-units; lower is faster).
-double projected_time(QdwhInfo const& info, std::vector<int> const& cols,
-                      bool structured) {
+double projected_time(QdwhInfo const& info, std::vector<int> const& cols) {
     return perf::qdwh_prec_time_model(cols, cols, info.rungs, info.it_qr,
-                                      structured, /*compute_h=*/true,
+                                      /*structured=*/true, /*compute_h=*/true,
                                       fma_flops<double>() / 2.0,
                                       prec::Prec::Double);
 }
@@ -161,8 +158,8 @@ int main(int argc, char** argv) {
 
         // Effective iterate throughput ratio under the projected rate model:
         // each run costed on its own executed schedule.
-        double const t_native = projected_time(native.info, cols, true);
-        double const t_adapt = projected_time(adapt.info, cols, true);
+        double const t_native = projected_time(native.info, cols);
+        double const t_adapt = projected_time(adapt.info, cols);
         double const speedup = t_adapt > 0 ? t_native / t_adapt : 0;
 
         struct Row {

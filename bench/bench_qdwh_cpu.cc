@@ -55,14 +55,11 @@ void BM_Qdwh(benchmark::State& state) {
     std::int64_t const n = state.range(0);
     int const nb = 32;
     rt::Mode const mode = mode_of(static_cast<int>(state.range(1)));
-    bool const structured = state.range(2) != 0;
     rt::Engine eng(threads(), mode);
     gen::MatGenOptions opt;
     opt.cond = 1e8;
     opt.seed = 5000;
     auto A0 = gen::cond_matrix<double>(eng, n, n, nb, opt);
-    QdwhOptions qopt;
-    qopt.structured_qr = structured;
 
     double flops = 0;
     double kernel_flops = 0, solve_secs = 0;
@@ -74,7 +71,7 @@ void BM_Qdwh(benchmark::State& state) {
         state.ResumeTiming();
         double const kf0 = blas::kernel::flops_performed();
         Timer t;
-        auto info = qdwh(eng, A, H, qopt);
+        auto info = qdwh(eng, A, H);
         solve_secs += t.elapsed();
         kernel_flops += blas::kernel::flops_performed() - kf0;
         flops = info.flops;
@@ -87,14 +84,12 @@ void BM_Qdwh(benchmark::State& state) {
     double const achieved =
         solve_secs > 0 ? kernel_flops / solve_secs / 1e9 : 0.0;
     state.counters["kernel_Gflop/s"] = achieved;
-    state.SetLabel(std::string(mode_name(static_cast<int>(state.range(1)))) +
-                   (structured ? "/ttqr" : "/dense"));
+    state.SetLabel(mode_name(static_cast<int>(state.range(1))));
 
     bench::JsonRecord r;
     r.field("bench", "qdwh")
         .field("n", static_cast<std::int64_t>(n))
         .field("mode", mode_name(static_cast<int>(state.range(1))))
-        .field("structured_qr", structured)
         .field("it_qr", it_qr)
         .field("it_chol", it_chol)
         .field("model_flops", flops)
@@ -104,15 +99,14 @@ void BM_Qdwh(benchmark::State& state) {
     emitter().add(r);
 }
 
-// One stacked-QR factor + Q generation, dense oracle vs structured — the
-// isolated A/B behind the qdwh speedup. The JSON record carries the exact
-// model-predicted kernel flops and a model-match flag: the replay in
-// perf::stacked_qr_kernel_flops shares the counter's per-call truncation, so
-// any mismatch is a kernel-accounting bug, not noise.
+// One structured stacked-QR factor + Q generation, the QR iterations' core.
+// The JSON record carries the exact model-predicted kernel flops and a
+// model-match flag: the replay in perf::stacked_qr_kernel_flops shares the
+// counter's per-call truncation, so any mismatch is a kernel-accounting
+// bug, not noise.
 void BM_StackedQr(benchmark::State& state) {
     std::int64_t const n = state.range(0);
     int const nb = 32;
-    bool const structured = state.range(1) != 0;
     rt::Engine eng(threads());
     TiledMatrix<double> A0(n, n, nb);
     gen::fill_gaussian(eng, A0, 7000);
@@ -134,30 +128,21 @@ void BM_StackedQr(benchmark::State& state) {
         state.ResumeTiming();
         double const kf0 = blas::kernel::flops_performed();
         Timer t;
-        if (structured) {
-            la::geqrf_stacked_tri(eng, W, mt1, 1.0, Tm);
-            la::ungqr_stacked_tri(eng, W, mt1, Tm, Q);
-        } else {
-            la::set_identity(eng, W.sub(mt1, 0, W.nt(), W.nt()));
-            la::geqrf(eng, W, Tm);
-            la::ungqr(eng, W, Tm, Q);
-        }
+        la::geqrf_stacked_tri(eng, W, mt1, 1.0, Tm);
+        la::ungqr_stacked_tri(eng, W, mt1, Tm, Q);
         eng.wait();
         secs += t.elapsed();
         kernel_flops = blas::kernel::flops_performed() - kf0;
     }
-    double const model =
-        bench::stacked_qr_model_flops<double>(n, nb, structured);
+    double const model = bench::stacked_qr_model_flops<double>(n, nb);
     state.counters["Gflop/s"] =
         secs > 0 ? kernel_flops * static_cast<double>(state.iterations()) /
                        secs / 1e9
                  : 0.0;
-    state.SetLabel(structured ? "ttqr" : "dense");
 
     bench::JsonRecord r;
     r.field("bench", "stacked_qr")
         .field("n", static_cast<std::int64_t>(n))
-        .field("structured_qr", structured)
         .field("qr_kernel_flops", kernel_flops)
         .field("qr_model_flops", model)
         .field("qr_model_match", kernel_flops == model)
@@ -227,13 +212,14 @@ void BM_SvdPolar(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_Qdwh)
-    ->ArgsProduct({{128, 256}, {0, 1, 2}, {0, 1}})
-    ->Args({512, 1, 0})  // the A/B pair behind the README flop-savings table
-    ->Args({512, 1, 1})
+    ->ArgsProduct({{128, 256}, {0, 1, 2}})
+    ->Args({512, 1})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StackedQr)
-    ->ArgsProduct({{128, 256, 512}, {0, 1}})
+    ->Arg(128)
+    ->Arg(256)
+    ->Arg(512)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Geqrf)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Potrf)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);

@@ -48,16 +48,15 @@ Accuracy accuracy(ref::Dense<T> const& A, TiledMatrix<T> const& U,
     return a;
 }
 
-/// Predicted kernel-counter flops of one stacked-QR factor + Q generation on
-/// W = [A; I] for an n x n A tiled with nb, dense or structured — the exact
-/// value blas::kernel::flops_performed() must advance by (same per-call
+/// Predicted kernel-counter flops of one structured stacked-QR factor + Q
+/// generation on W = [A; I] for an n x n A tiled with nb — the exact value
+/// blas::kernel::flops_performed() must advance by (same per-call
 /// truncation; see perf::stacked_qr_kernel_flops). Used by the bench JSON's
 /// qr_model_match field so downstream tooling can assert exactness.
 template <typename T>
-double stacked_qr_model_flops(std::int64_t n, int nb, bool structured) {
+double stacked_qr_model_flops(std::int64_t n, int nb) {
     auto const cols = TiledMatrix<T>::chop(n, nb);
-    return perf::stacked_qr_kernel_flops(cols, cols, structured,
-                                         fma_flops<T>() / 2.0);
+    return perf::stacked_qr_kernel_flops(cols, cols, fma_flops<T>() / 2.0);
 }
 
 /// Threads for real-execution benches (1-core machines still want a few for

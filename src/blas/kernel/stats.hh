@@ -50,9 +50,6 @@ inline void count_flops(double fl, prec::Prec p) {
     }
 }
 
-/// Legacy entry: charges the double bucket.
-inline void count_flops(double fl) { count_flops(fl, prec::Prec::Double); }
-
 /// Total real flops performed by tile kernels since start (or last reset).
 inline double flops_performed() {
     return static_cast<double>(flop_counter().load(std::memory_order_relaxed));

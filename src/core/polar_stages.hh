@@ -1,23 +1,24 @@
-// Stages shared by the shared-memory polar solvers (QDWH, Zolo-PD and the
-// mixed-precision drivers), each written once:
+// Stages shared by the shared-memory polar solvers (QDWH and Zolo-PD), each
+// written once:
 //
 //   QdwhWorkspace        stacked [W1; W2] / [Q1; Q2] / T / Z iteration scratch
 //   scale_and_condest    two-norm estimate, scaling, and the sigma_min lower
 //                        bound by QR + trcondest (Algorithm 1 lines 11-19)
-//   polar_h_stage        H = U_p^H A (+ Hermitian symmetrization), line 52
+//   polar_h_stage        H = U_p^H A, symmetrized to exact Hermitian, line 52
 //   low_precision_polar  convert down, low-precision solve, convert back,
 //                        Newton-Schulz polish, native H
 //
-// Low-precision pipeline accuracy contract (qdwh_mixed and the Zolo-PD
-// precision ladder): the low-precision solve is backward stable in its own
-// precision, i.e. it computes the polar factor of A + dA with
-// ||dA|| ~ eps32 ||A||. Refinement that never touches A again cannot undo
-// that perturbation, so the result has
+// Low-precision pipeline accuracy contract (the Zolo-PD precision ladder;
+// QDWH's Float request meets the same one through its rung plan): the
+// low-precision solve is backward stable in its own precision, i.e. it
+// computes the polar factor of A + dA with ||dA|| ~ eps32 ||A||.
+// Refinement that never touches A again cannot undo that perturbation, so
+// the result has
 //   - orthogonality            ~ eps64  (restored by Newton-Schulz),
 //   - backward error ||A-UH||  ~ eps32  (inherited from the low stage),
 //   - forward error vs the native polar factor ~ eps32 * kappa(A).
 // A run that needs native backward error uses the all-native solver
-// (precision Native / Double).
+// (precision Native).
 
 #pragma once
 
@@ -98,16 +99,15 @@ ScaledInput<T> scale_and_condest(rt::Engine& eng, TiledMatrix<T>& A,
     return s;
 }
 
-/// H = U_p^H A0 (+ optional Hermitian symmetrization), Algorithm 1 line 52.
+/// H = U_p^H A0, made exactly Hermitian by H := (H + H^H)/2, Algorithm 1
+/// line 52.
 template <typename T>
 void polar_h_stage(rt::Engine& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
-                   TiledMatrix<T>& H, bool symmetrize) {
+                   TiledMatrix<T>& H) {
     la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), U, Acpy, T(0), H);
-    if (symmetrize) {
-        TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(), H.grid());
-        la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-        la::add(eng, T(0.5), Ht, T(0.5), H);
-    }
+    TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(), H.grid());
+    la::transpose_copy(eng, Op::ConjTrans, H, Ht);
+    la::add(eng, T(0.5), Ht, T(0.5), H);
 }
 
 /// The low-precision polar pipeline (see the header comment for its
@@ -118,8 +118,7 @@ void polar_h_stage(rt::Engine& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
 /// as is, with A unchanged.
 template <typename T, typename Solve>
 Status low_precision_polar(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                           bool compute_h, bool symmetrize_h, RefineInfo& ref,
-                           Solve&& solve) {
+                           bool compute_h, RefineInfo& ref, Solve&& solve) {
     using S = prec::shadow_t<T>;
     eng.wait();  // clone() reads tiles directly
     TiledMatrix<T> Acpy = A.clone();
@@ -131,7 +130,7 @@ Status low_precision_polar(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     la::convert_copy(eng, As, A);
     ref = polar_refine_ns(eng, A, 5);
     if (compute_h)
-        polar_h_stage(eng, A, Acpy, H, symmetrize_h);
+        polar_h_stage(eng, A, Acpy, H);
     eng.wait();
     return Status::Ok;
 }

@@ -18,7 +18,7 @@
 // valid only while that slack is negligible, so a rung is admissible for
 // iteration k iff
 //
-//   u_rung <= rung_safety * l_{k+1}        (exit bound, not entering l_k)
+//   u_rung <= kRungSafety * l_{k+1}        (exit bound, not entering l_k)
 //
 // This puts float (u = 2^-24) on essentially every iteration — even the
 // first iterations of a kappa = 1e16 run exit with l_{k+1} ~ 1e-5 — and
@@ -28,8 +28,8 @@
 // bound, the executed iterate decouples from the planned recurrence, and
 // the loop burns straggler iterations the plan never priced.
 //
-// Tail: the last tail_native planned iterations (and every conv-driven
-// straggler) run native. bf16 is additionally barred from the tail_native+1
+// Tail: the last kTailNative planned iterations (and every conv-driven
+// straggler) run native. bf16 is additionally barred from the kTailNative+1
 // iterations before the end: one native Halley step cubes a float-level
 // error ((2^-24)^3 << eps64) but not a bf16-level one ((2^-9)^3 ~ 1e-8),
 // so the iteration feeding the native tail must be float or better. The
@@ -39,9 +39,9 @@
 // native iterations cannot undo (they converge to the polar factor of the
 // perturbed iterate): the adaptive ladder's contract is native
 // *orthogonality* with a backward error at the lowest executed rung's
-// precision — the standard mixed-precision polar trade (qdwh_mixed, the
-// float-only variant, has the same contract; a native backward error needs
-// the Native request).
+// precision — the standard mixed-precision polar trade. The Float request
+// has the same contract at float level: native orthogonality, backward
+// error ~eps32 (a native backward error needs the Native request).
 
 #pragma once
 
@@ -74,23 +74,19 @@ using shadow_t = typename shadow<T>::type;
 /// Requested precision behavior for a polar-decomposition run.
 ///   Native   — every iteration in the matrix's own scalar type (the
 ///              pre-ladder behavior).
-///   Double   — alias of Native for double-kind types; ignored (native) for
-///              float-kind types, which cannot promote.
 ///   Float    — all iterations on the float rung except the native tail.
 ///   Bf16     — all iterations on the simulated-bf16 rung except the tail.
 ///   Adaptive — rung chosen per iteration from l_k (the ladder proper).
 enum class Precision : std::uint8_t {
     Native = 0,
-    Double = 1,
-    Float = 2,
-    Bf16 = 3,
-    Adaptive = 4,
+    Float = 1,
+    Bf16 = 2,
+    Adaptive = 3,
 };
 
 inline char const* precision_name(Precision p) {
     switch (p) {
         case Precision::Native: return "native";
-        case Precision::Double: return "double";
         case Precision::Float: return "float";
         case Precision::Bf16: return "bf16";
         case Precision::Adaptive: return "adaptive";
@@ -103,16 +99,17 @@ inline constexpr double kBf16Roundoff = 0x1p-9;
 /// Unit roundoff of the float rung (24-bit significand).
 inline constexpr double kFloatRoundoff = 0x1p-24;
 
+/// Adaptive admissibility safety factor: a rung with unit roundoff u may
+/// run iteration k iff u <= kRungSafety * l_{k+1}, i.e. the iteration's own
+/// backward error must be small against the sigma_min bound it is
+/// scheduled to establish (see the header comment).
+inline constexpr double kRungSafety = 1e-2;
+/// The last kTailNative planned iterations (and every conv-driven iteration
+/// beyond the plan) run on the native rung.
+inline constexpr int kTailNative = 1;
+
 struct PrecisionPolicy {
     Precision request = Precision::Native;
-    /// Adaptive admissibility safety factor: a rung with unit roundoff u may
-    /// run iteration k iff u <= rung_safety * l_{k+1}, i.e. the iteration's
-    /// own backward error must be small against the sigma_min bound it is
-    /// scheduled to establish (see the header comment).
-    double rung_safety = 1e-2;
-    /// Force the last `tail_native` planned iterations (and every
-    /// conv-driven iteration beyond the plan) onto the native rung.
-    int tail_native = 1;
     /// Test hook: treat the first attempt of this iteration index (0-based)
     /// as a failed low-precision Cholesky and take the fallback promotion
     /// path. The forced failure happens before any work is submitted, so
@@ -171,7 +168,6 @@ inline GemmMode gemm_mode(Prec rung) {
 inline bool ladder_engaged(Precision request, Prec native) {
     switch (request) {
         case Precision::Native:
-        case Precision::Double:
             return false;
         case Precision::Float:
             return native == Prec::Double;
@@ -185,8 +181,8 @@ inline bool ladder_engaged(Precision request, Prec native) {
 /// Rung for one iteration under `pol`, given the iteration's *exit* bound
 /// l_{k+1} and its distance from the end of the plan (0 = last planned
 /// iteration) — before the native-tail override. Adaptive picks the
-/// cheapest admissible rung: u_rung <= rung_safety * li_next, with bf16
-/// additionally barred from the tail_native + 1 final iterations (the
+/// cheapest admissible rung: u_rung <= kRungSafety * li_next, with bf16
+/// additionally barred from the kTailNative + 1 final iterations (the
 /// single native step that follows can cube a float-level error below
 /// eps64, but not a bf16-level one).
 inline Prec rung_for(PrecisionPolicy const& pol, double li_next,
@@ -194,7 +190,6 @@ inline Prec rung_for(PrecisionPolicy const& pol, double li_next,
     Prec r = native;
     switch (pol.request) {
         case Precision::Native:
-        case Precision::Double:
             break;
         case Precision::Float:
             r = Prec::Float;
@@ -203,11 +198,11 @@ inline Prec rung_for(PrecisionPolicy const& pol, double li_next,
             r = Prec::Bf16;
             break;
         case Precision::Adaptive:
-            if (steps_from_end >= pol.tail_native + 1
-                && kBf16Roundoff <= pol.rung_safety * li_next)
+            if (steps_from_end >= kTailNative + 1
+                && kBf16Roundoff <= kRungSafety * li_next)
                 r = Prec::Bf16;
             else if (native == Prec::Double
-                     && kFloatRoundoff <= pol.rung_safety * li_next)
+                     && kFloatRoundoff <= kRungSafety * li_next)
                 r = Prec::Float;
             break;
     }
@@ -250,7 +245,7 @@ inline std::vector<RungStep> plan_rungs(double l0, double tol1, int max_iter,
                      native);
     // Native tail: the last planned iterations run at native precision so
     // the iterate leaves the loop with native-accuracy orthogonality.
-    for (int t = 0; t < pol.tail_native && t < len; ++t)
+    for (int t = 0; t < kTailNative && t < len; ++t)
         plan[static_cast<std::size_t>(len - 1 - t)].rung = native;
     return plan;
 }

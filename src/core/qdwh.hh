@@ -10,7 +10,9 @@
 // Stage map (Algorithm 1 line numbers in brackets):
 //   1. two-norm estimate and scaling           [11-13]  cond::norm2est
 //   2. condition estimate via QR + trcondest   [15-19]  la::geqrf, cond::trcondest
-//   3. QR-based iterations                     [30-36]  la::geqrf/ungqr/gemm
+//   3. QR-based iterations                     [30-36]  la::geqrf_stacked_tri/
+//                                                       ungqr_stacked_tri/
+//                                                       gemm_rt_upper
 //      Cholesky-based iterations               [38-44]  la::herk/potrf/trsm/add
 //   4. H = U_p^H A                             [52]     la::gemm (+ symmetrization)
 //
@@ -56,7 +58,7 @@
 // half-iteration's charges).
 //
 // Accuracy: the final planned iterations and every conv-driven straggler
-// run native (policy tail_native >= 1 by default), and one native Halley
+// run native (prec::kTailNative >= 1), and one native Halley
 // step cubes the float-level error (1e-7^3 << eps64), so the loop exits at
 // native orthogonality; H = U^H A is computed natively from the original A.
 
@@ -89,24 +91,20 @@ struct QdwhOptions {
     double condest_override = 0;
     /// Safety cap on iterations (theory guarantees <= 6 in double).
     int max_iter = 50;
-    /// Compute H = U_p^H A after convergence (Algorithm 1 line 52).
+    /// Compute H = U_p^H A after convergence (Algorithm 1 line 52), made
+    /// exactly Hermitian by H := (H + H^H)/2.
     bool compute_h = true;
-    /// Enforce exact Hermitian symmetry of H: H := (H + H^H)/2.
-    bool symmetrize_h = true;
-    /// Exploit the identity block of W = [sqrt(c) A; I] in the QR-based
-    /// iterations (geqrf_stacked_tri / ungqr_stacked_tri / triangular Q2
-    /// gemm, ~35% fewer QR-iteration flops at m = n). Off selects the dense
-    /// oracle path, which factors W with no structural assumptions.
-    bool structured_qr = true;
     /// Panel lookahead depth of the QR/Cholesky iterates (geqrf/potrf):
     /// updates into the next `lookahead` panel columns ride the priority
     /// lane so those panels unblock early. 0 = plain dataflow schedule.
     int lookahead = 0;
-    /// Precision-ladder policy (core/precision_policy.hh). Native (and
-    /// Double) plan every iteration on the matrix's own type; Float/Bf16/
-    /// Adaptive plan admissible iterations on lower rungs with a native tail
-    /// and native H, promoting a failed low-precision Cholesky iterate one
-    /// rung up instead of aborting. Every request runs the same loop.
+    /// Precision-ladder policy (core/precision_policy.hh). Native plans
+    /// every iteration on the matrix's own type; Float/Bf16/Adaptive plan
+    /// admissible iterations on lower rungs with a native tail and native
+    /// H, promoting a failed low-precision Cholesky iterate one rung up
+    /// instead of aborting. Every request runs the same loop. A Float
+    /// request's contract is native orthogonality with a float-level
+    /// backward error.
     prec::PrecisionPolicy precision;
 };
 
@@ -166,28 +164,20 @@ void qdwh_iter(rt::Engine& eng, prec::QdwhWeights const& w, TiledMatrix<T>& cur,
     }
     int const mt = cur.mt(), nt = cur.nt();
     TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
-    TiledMatrix<T> W2 = ws.W.sub(mt, 0, nt, nt);
     TiledMatrix<T> Q1 = ws.Q.sub(0, 0, mt, nt);
     TiledMatrix<T> Q2 = ws.Q.sub(mt, 0, nt, nt);
     la::copy(eng, cur, W1);
     la::scale(eng, from_real<T>(static_cast<R>(std::sqrt(c))), W1);
     R const theta = static_cast<R>((a - b / c) / std::sqrt(c));
     R const beta = static_cast<R>(b / c);
-    if (opts.structured_qr) {
-        la::geqrf_stacked_tri(eng, ws.W, mt, T(1), ws.Tw, opts.lookahead);
-        la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
-        // Q2 = R^{-1} is block upper triangular; the out-of-place
-        // triangular gemm writes A_k while A_{k-1} survives in cur.
-        la::gemm_rt_upper(eng, from_real<T>(theta), Q1, Q2,
-                          from_real<T>(beta), cur, oth);
-    } else {
-        la::set_identity(eng, W2);
-        la::geqrf(eng, ws.W, ws.Tw, opts.lookahead);
-        la::ungqr(eng, ws.W, ws.Tw, ws.Q);
-        la::copy(eng, cur, oth);
-        la::gemm(eng, Op::NoTrans, Op::ConjTrans, from_real<T>(theta), Q1, Q2,
-                 from_real<T>(beta), oth);
-    }
+    // The QR of W = [sqrt(c) A; I] exploits the identity block
+    // (geqrf_stacked_tri / ungqr_stacked_tri), ~35% fewer flops at m = n.
+    la::geqrf_stacked_tri(eng, ws.W, mt, T(1), ws.Tw, opts.lookahead);
+    la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
+    // Q2 = R^{-1} is block upper triangular; the out-of-place triangular
+    // gemm writes A_k while A_{k-1} survives in cur.
+    la::gemm_rt_upper(eng, from_real<T>(theta), Q1, Q2, from_real<T>(beta),
+                      cur, oth);
 }
 
 /// Body of qdwh_status after validation; may throw tbp::Error from task
@@ -348,7 +338,7 @@ Status qdwh_run(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
 
     // --- Stage 4: H = U_p^H A, always native (line 52) --------------------
     if (opts.compute_h)
-        polar_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
+        polar_h_stage(eng, A, Acpy, H);
     eng.wait();
 
     for (int p = 0; p < prec::kNumPrec; ++p)

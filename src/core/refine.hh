@@ -1,13 +1,13 @@
-// Inverse-free Newton-Schulz orthogonality refinement, shared by the
-// mixed-precision polar drivers (qdwh_mixed, the Zolo-PD precision ladder).
+// Inverse-free Newton-Schulz orthogonality refinement of the Zolo-PD
+// precision ladder (detail::low_precision_polar).
 //
 //   U <- 3/2 U - 1/2 U (U^H U)
 //
 // converges quadratically for sigma(U) in (0, sqrt(3)), so a handful of
 // gemm-bound steps restore native-precision orthogonality to a polar factor
 // computed in float (||I - U^H U|| ~ 1e-6 -> ~1e-12 -> eps64). The backward
-// error of the low-precision stage is *not* repaired (see qdwh_mixed.hh for
-// the accuracy contract).
+// error of the low-precision stage is *not* repaired (see polar_stages.hh
+// for the accuracy contract).
 
 #pragma once
 

@@ -50,11 +50,7 @@ struct ZoloOptions {
     int r = 8;
     double condest_override = 0;  ///< as in QdwhOptions
     int max_iter = 20;
-    bool compute_h = true;
-    bool symmetrize_h = true;
-    /// Exploit the sqrt(c) I block of each stacked [X; sqrt(c) I] term via
-    /// geqrf_stacked_tri / ungqr_stacked_tri (see QdwhOptions).
-    bool structured_qr = true;
+    bool compute_h = true;  ///< as in QdwhOptions (H made exactly Hermitian)
     /// Panel lookahead depth of the QR/Cholesky solves (see QdwhOptions).
     int lookahead = 0;
     /// Precision ladder (core/precision_policy.hh). Zolo-PD's whole
@@ -63,9 +59,8 @@ struct ZoloOptions {
     /// runs the *entire* Zolotarev iteration in float (under simulated-bf16
     /// gemm mode for a Bf16 request) and restores double orthogonality with
     /// a Newton-Schulz polish, computing H natively — the
-    /// detail::low_precision_polar pipeline qdwh_mixed also runs, with its
-    /// accuracy contract (core/polar_stages.hh). Ignored (native) for
-    /// float-kind scalars.
+    /// detail::low_precision_polar pipeline, with its accuracy contract
+    /// (core/polar_stages.hh). Ignored (native) for float-kind scalars.
     prec::PrecisionPolicy precision;
 };
 
@@ -204,7 +199,6 @@ Status zolo_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     info.norm2_estimate = static_cast<double>(est.alpha);
 
     TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
-    TiledMatrix<T> W2 = ws.W.sub(mt, 0, nt, nt);
     TiledMatrix<T> Q1 = ws.Q.sub(0, 0, mt, nt);
     TiledMatrix<T> Q2 = ws.Q.sub(mt, 0, nt, nt);
 
@@ -236,30 +230,18 @@ Status zolo_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
             double const c = zc.c[static_cast<size_t>(2 * j - 2)];
             double const aj = zc.a[static_cast<size_t>(j - 1)];
             if (use_qr) {
-                // QR evaluation on the stacked [X; sqrt(c) I]; exact even
-                // for ill-conditioned X.
+                // QR evaluation on the stacked [X; sqrt(c) I], exploiting
+                // its sqrt(c) I block; exact even for ill-conditioned X.
                 la::copy(eng, Aprev, W1);
-                if (opts.structured_qr) {
-                    la::geqrf_stacked_tri(
-                        eng, ws.W, mt,
-                        from_real<T>(static_cast<R>(std::sqrt(c))), ws.Tw,
-                        opts.lookahead);
-                    la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
-                    // X (X^H X + c I)^{-1} = Q1 Q2^H / sqrt(c); Q2 =
-                    // sqrt(c) R^{-1} is block upper triangular.
-                    la::gemm_rt_upper(
-                        eng, from_real<T>(static_cast<R>(aj / std::sqrt(c))),
-                        Q1, Q2, T(1), Acc);
-                } else {
-                    la::set_identity(eng, W2);
-                    la::scale(eng, from_real<T>(static_cast<R>(std::sqrt(c))),
-                              W2);
-                    la::geqrf(eng, ws.W, ws.Tw, opts.lookahead);
-                    la::ungqr(eng, ws.W, ws.Tw, ws.Q);
-                    la::gemm(eng, Op::NoTrans, Op::ConjTrans,
-                             from_real<T>(static_cast<R>(aj / std::sqrt(c))),
-                             Q1, Q2, T(1), Acc);
-                }
+                la::geqrf_stacked_tri(
+                    eng, ws.W, mt, from_real<T>(static_cast<R>(std::sqrt(c))),
+                    ws.Tw, opts.lookahead);
+                la::ungqr_stacked_tri(eng, ws.W, mt, ws.Tw, ws.Q);
+                // X (X^H X + c I)^{-1} = Q1 Q2^H / sqrt(c); Q2 =
+                // sqrt(c) R^{-1} is block upper triangular.
+                la::gemm_rt_upper(
+                    eng, from_real<T>(static_cast<R>(aj / std::sqrt(c))), Q1,
+                    Q2, T(1), Acc);
                 ++info.qr_solves;
             } else {
                 // Cholesky evaluation: Z = c I + X^H X.
@@ -296,7 +278,7 @@ Status zolo_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     info.converged = true;
 
     if (opts.compute_h)
-        polar_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
+        polar_h_stage(eng, A, Acpy, H);
     eng.wait();
     info.flops = eng.flops_executed() - flops0;
     return Status::Ok;
@@ -335,8 +317,7 @@ Status zolo_pd_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                         : prec::Prec::Float;
                 RefineInfo ref;
                 Status const s = detail::low_precision_polar(
-                    eng, A, H, opts.compute_h, opts.symmetrize_h, ref,
-                    [&](auto& As) {
+                    eng, A, H, opts.compute_h, ref, [&](auto& As) {
                         prec::ScopedGemmMode mode_scope(prec::gemm_mode(rung));
                         return zolo_pd_status(eng, As, {}, info, lo);
                     });

@@ -36,9 +36,9 @@ void copy(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> B) {
 }
 
 /// B := A element-wise across precisions (slamge/dlag2s-style), tile-wise;
-/// tilings must match. Used by the mixed-precision paths (qdwh_mixed, the
-/// precision ladder) to move iterates between the native matrices and their
-/// low-precision shadows. Charges no kernel flops: conversion is O(n^2)
+/// tilings must match. Used by the precision ladders of QDWH and Zolo-PD to
+/// move iterates between the native matrices and their low-precision
+/// shadows. Charges no kernel flops: conversion is O(n^2)
 /// traffic, accounted separately by the precision cost model.
 template <typename TS, typename TD>
 void convert_copy(rt::Engine& eng, TiledMatrix<TS> const& src,

@@ -9,9 +9,9 @@
 // boundaries in its top block rows even when m % nb != 0.
 //
 // The ownership map (owner_rank) is advisory on this shared-memory build:
-// the task runtime executes tiles in place, while the communication volume
-// implied by the map is charged by the performance model (src/perf/) and
-// exercised for real by the src/comm/ virtual-rank kernels.
+// the task runtime executes tiles in place and no library code reads the
+// map. Distributed execution uses comm::DistMatrix, whose own block-cyclic
+// map the src/comm/ virtual-rank kernels exercise for real.
 
 #pragma once
 

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/error.hh"
 #include "common/flops.hh"
 #include "common/precision.hh"
 #include "perf/qdwh_model.hh"
@@ -112,18 +113,18 @@ inline double chol_iter_kernel_flops(std::vector<int> const& rows,
 
 /// Kernel-counter flops of one QR-based QDWH iteration (Eq. 1): the stacked
 /// [sqrt(c) A; I] geqrf + ungqr (delegated to the existing exact replay) and
-/// the Q1 Q2^H update — block upper triangular when structured (l >= j),
-/// dense otherwise. copy / scale / set_identity charge nothing.
+/// the block upper triangular Q1 Q2^H update (l >= j). copy / scale charge
+/// nothing.
 inline double qr_iter_kernel_flops(std::vector<int> const& rows,
                                    std::vector<int> const& cols,
-                                   bool structured, double weight) {
+                                   double weight) {
     int const mt = static_cast<int>(rows.size());
     int const nt = static_cast<int>(cols.size());
     detail::TruncAcc acc;
-    acc.total += stacked_qr_kernel_flops(rows, cols, structured, weight);
+    acc.total += stacked_qr_kernel_flops(rows, cols, weight);
     for (int j = 0; j < nt; ++j)
         for (int i = 0; i < mt; ++i)
-            for (int l = structured ? j : 0; l < nt; ++l)
+            for (int l = j; l < nt; ++l)
                 acc.add(flops::gemm(rows[static_cast<std::size_t>(i)],
                                     cols[static_cast<std::size_t>(j)],
                                     cols[static_cast<std::size_t>(l)])
@@ -173,10 +174,10 @@ struct QdwhPrecFlops {
 /// measured QdwhInfo::kernel_flops_by_prec whenever kernel_flops_exact.
 inline QdwhPrecFlops qdwh_prec_kernel_flops(
     std::vector<int> const& rows, std::vector<int> const& cols,
-    std::vector<prec::Prec> const& rungs, int it_qr, bool structured,
-    bool compute_h, double weight, prec::Prec native) {
+    std::vector<prec::Prec> const& rungs, int it_qr, bool compute_h,
+    double weight, prec::Prec native) {
     QdwhPrecFlops out;
-    double const qr_fl = qr_iter_kernel_flops(rows, cols, structured, weight);
+    double const qr_fl = qr_iter_kernel_flops(rows, cols, weight);
     double const ch_fl = chol_iter_kernel_flops(rows, cols, weight);
     for (std::size_t k = 0; k < rungs.size(); ++k)
         out.by_prec[static_cast<std::size_t>(rungs[k])] +=
@@ -202,13 +203,16 @@ struct PrecRates {
 /// Projected time (in native-rung flop-units) of a rung schedule relative
 /// to the all-native run of the same iteration count: sum of per-iteration
 /// flops divided by each rung's rate. speedup = all-native time / this.
+/// `structured` must be true: the QR iterations run only on the
+/// structured stacked QR.
 inline double qdwh_prec_time_model(std::vector<int> const& rows,
                                    std::vector<int> const& cols,
                                    std::vector<prec::Prec> const& rungs,
                                    int it_qr, bool structured, bool compute_h,
                                    double weight, prec::Prec native,
                                    PrecRates const& rates = {}) {
-    double const qr_fl = qr_iter_kernel_flops(rows, cols, structured, weight);
+    tbp_require(structured);
+    double const qr_fl = qr_iter_kernel_flops(rows, cols, weight);
     double const ch_fl = chol_iter_kernel_flops(rows, cols, weight);
     double t = 0;
     for (std::size_t k = 0; k < rungs.size(); ++k) {

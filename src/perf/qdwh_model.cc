@@ -7,7 +7,7 @@
 namespace tbp::perf {
 
 std::vector<OpSpec> qdwh_ops(std::int64_t n, int nb, int it_qr, int it_chol,
-                             bool structured_qr) {
+                             bool structured) {
     double const dn = static_cast<double>(n);
     double const n2 = dn * dn;
     double const n3 = n2 * dn;
@@ -32,14 +32,14 @@ std::vector<OpSpec> qdwh_ops(std::int64_t n, int nb, int it_qr, int it_chol,
     // Q1 Q2^H product (2n^3 -> n^3); its panel chain is also shorter (no
     // tsqrt below W2's diagonal).
     for (int k = 0; k < it_qr; ++k) {
-        double const tri = structured_qr ? n3 : 0.0;
+        double const tri = structured ? n3 : 0.0;
         double const qr_total = flops::geqrf(2 * dn, dn) - tri;  // 10/3 or 7/3
-        double const qr_panel = (structured_qr ? 2.5 : 3.0) * n2 * nb;
+        double const qr_panel = (structured ? 2.5 : 3.0) * n2 * nb;
         ops.push_back({"qr_geqrf", qr_total - qr_panel, qr_panel, 2.0, steps, n});
         double const un_total = flops::ungqr(2 * dn, dn, dn) - tri;
-        double const un_panel = (structured_qr ? 2.5 : 3.0) * n2 * nb;
+        double const un_panel = (structured ? 2.5 : 3.0) * n2 * nb;
         ops.push_back({"qr_ungqr", un_total - un_panel, un_panel, 2.0, steps, n});
-        ops.push_back({"qr_gemm", structured_qr ? n3 : 2 * n3, 0, 2.0, steps, n});
+        ops.push_back({"qr_gemm", structured ? n3 : 2 * n3, 0, 2.0, steps, n});
     }
 
     // Stage 3b: Cholesky-based iterations.
@@ -61,9 +61,9 @@ std::vector<OpSpec> qdwh_ops(std::int64_t n, int nb, int it_qr, int it_chol,
 
 QdwhPerfResult qdwh_perf(MachineModel const& machine, Device device,
                          Schedule schedule, std::int64_t n, int nb,
-                         int it_qr, int it_chol, bool structured_qr) {
+                         int it_qr, int it_chol, bool structured) {
     CostModel cm(machine, device, schedule, nb);
-    auto const ops = qdwh_ops(n, nb, it_qr, it_chol, structured_qr);
+    auto const ops = qdwh_ops(n, nb, it_qr, it_chol, structured);
 
     QdwhPerfResult r;
     r.it_qr = it_qr;
@@ -72,7 +72,7 @@ QdwhPerfResult qdwh_perf(MachineModel const& machine, Device device,
     r.breakdown = cm.total_time(ops, it_qr + it_chol + 4);
     r.seconds = r.breakdown.total;
     r.model_flops =
-        structured_qr
+        structured
             ? flops::qdwh_model_structured(static_cast<double>(n), it_qr,
                                            it_chol)
             : flops::qdwh_model(static_cast<double>(n), it_qr, it_chol);
@@ -83,13 +83,11 @@ QdwhPerfResult qdwh_perf(MachineModel const& machine, Device device,
 }
 
 double stacked_qr_kernel_flops(std::vector<int> const& w1_rows,
-                               std::vector<int> const& cols, bool structured,
-                               double weight) {
-    // Replays, task by task, the kernel calls of la::geqrf + la::ungqr on
-    // the stacked shape (dense) or la::geqrf_stacked_tri +
-    // la::ungqr_stacked_tri (structured), charging each call exactly what
-    // the tile kernel charges: the formula times `weight`, truncated to
-    // uint64 before accumulating (matching blas::kernel::count_flops).
+                               std::vector<int> const& cols, double weight) {
+    // Replays, task by task, the kernel calls of la::geqrf_stacked_tri +
+    // la::ungqr_stacked_tri, charging each call exactly what the tile
+    // kernel charges: the formula times `weight`, truncated to uint64
+    // before accumulating (matching blas::kernel::count_flops).
     // Truncation-then-sum is order independent, so the replay order need
     // not match the execution order.
     std::uint64_t total = 0;
@@ -102,36 +100,6 @@ double stacked_qr_kernel_flops(std::vector<int> const& w1_rows,
         return i < mt1 ? w1_rows[static_cast<size_t>(i)]
                        : cols[static_cast<size_t>(i - mt1)];
     };
-    int const mt = mt1 + nt;
-
-    if (!structured) {
-        // geqrf on the dense (mt1 + nt) x nt tile grid.
-        for (int k = 0; k < nt; ++k) {
-            int const nbk = cols[static_cast<size_t>(k)];
-            charge(flops::geqrf(row(k), nbk));
-            for (int j = k + 1; j < nt; ++j)
-                charge(flops::unmqr(row(k), cols[static_cast<size_t>(j)],
-                                    std::min(row(k), nbk)));
-            for (int i = k + 1; i < mt; ++i) {
-                charge(flops::tsqrt(row(i), nbk));
-                for (int j = k + 1; j < nt; ++j)
-                    charge(flops::tsmqr(row(i), nbk,
-                                        cols[static_cast<size_t>(j)]));
-            }
-        }
-        // ungqr applies every panel to columns k..nt-1 of the stacked Q.
-        for (int k = 0; k < nt; ++k) {
-            int const nbk = cols[static_cast<size_t>(k)];
-            for (int i = k + 1; i < mt; ++i)
-                for (int j = k; j < nt; ++j)
-                    charge(flops::tsmqr(row(i), nbk,
-                                        cols[static_cast<size_t>(j)]));
-            for (int j = k; j < nt; ++j)
-                charge(flops::unmqr(row(k), cols[static_cast<size_t>(j)],
-                                    std::min(row(k), nbk)));
-        }
-        return static_cast<double>(total);
-    }
 
     // geqrf_stacked_tri: W1 is dense, W2's tile (i2, k) is tsqrt fill for
     // i2 < k, a ttqrt triangular fold at i2 == k, untouched below.

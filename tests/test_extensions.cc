@@ -1,11 +1,11 @@
-// Future-work extensions: mixed-precision QDWH and partial-spectrum
-// subspace extraction.
+// Future-work extensions: mixed-precision QDWH (the Float request) and
+// partial-spectrum subspace extraction.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/qdwh_mixed.hh"
+#include "core/qdwh.hh"
 #include "core/subspace.hh"
 #include "gen/matgen.hh"
 #include "ref/jacobi.hh"
@@ -13,45 +13,58 @@
 
 using namespace tbp;
 
-TEST(QdwhMixed, ReachesDoubleAccuracy) {
+namespace {
+
+/// QDWH with the Float request: every iteration on the float rung except
+/// the native tail.
+QdwhOptions float_request() {
+    QdwhOptions qo;
+    qo.precision.request = prec::Precision::Float;
+    return qo;
+}
+
+}  // namespace
+
+TEST(QdwhFloat, ReachesDoubleOrthogonality) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
-    opt.cond = 1e6;  // within float's capability for the low-precision stage
+    opt.cond = 1e6;  // within float's capability for the low-precision rungs
     opt.seed = 161;
     int const n = 40, nb = 8;
     auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
     auto Ad = ref::to_dense(A);
     TiledMatrix<double> H(n, n, nb);
-    auto info = qdwh_mixed(eng, A, H);
+    auto info = qdwh(eng, A, H, float_request());
 
     auto U = ref::to_dense(A);
     double const orth = ref::orthogonality(U) / std::sqrt(static_cast<double>(n));
     EXPECT_LE(orth, 1e-14);  // double-precision orthogonality
     auto UH = ref::gemm(Op::NoTrans, Op::NoTrans, 1.0, U, ref::to_dense(H));
-    // Backward error is bounded by the float stage's backward stability
-    // (eps32-level), not eps64 — see the contract in qdwh_mixed.hh.
+    // Backward error is bounded by the float rungs' backward stability
+    // (eps32-level), not eps64 — the Float request's contract
+    // (core/precision_policy.hh).
     EXPECT_LE(ref::diff_fro(UH, Ad) / ref::norm_fro(Ad), 50 * 1.2e-7);
 
-    // The float stage leaves ~1e-6 orthogonality error; refinement must
-    // actually engage and clean it up.
-    EXPECT_GT(info.orth_before, 1e-9);
-    EXPECT_LT(info.orth_after, 1e-12);
-    EXPECT_GE(info.refine_steps, 1);
-    EXPECT_LE(info.refine_steps, 3);  // quadratic from 1e-6
+    // Every planned iteration runs on the float rung; the last one is the
+    // native tail that cubes the float-level orthogonality error away.
+    ASSERT_GE(info.rungs.size(), 2u);
+    for (std::size_t k = 0; k + 1 < info.rungs.size(); ++k)
+        EXPECT_EQ(info.rungs[k], prec::Prec::Float) << "iteration " << k;
+    EXPECT_EQ(info.rungs.back(), prec::Prec::Double);
 }
 
-TEST(QdwhMixed, MatchesFullDoubleResult) {
+TEST(QdwhFloat, MatchesFullDoubleResult) {
     gen::MatGenOptions opt;
     opt.cond = 1e4;  // forward error scales as eps32 * kappa
     opt.seed = 162;
     int const n = 32, nb = 8;
-    ref::Dense<double> u_mixed, u_double;
+    ref::Dense<double> u_float, u_double;
     {
         rt::Engine eng(3);
         auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
         TiledMatrix<double> H(n, n, nb);
-        qdwh_mixed(eng, A, H);
-        u_mixed = ref::to_dense(A);
+        qdwh(eng, A, H, float_request());
+        u_float = ref::to_dense(A);
     }
     {
         rt::Engine eng(3);
@@ -61,10 +74,10 @@ TEST(QdwhMixed, MatchesFullDoubleResult) {
         u_double = ref::to_dense(A);
     }
     // eps32 * kappa = 1.2e-7 * 1e4 ~ 1e-3 worst case; typically well below.
-    EXPECT_LE(ref::diff_fro(u_mixed, u_double), 1.2e-7 * 1e4);
+    EXPECT_LE(ref::diff_fro(u_float, u_double), 1.2e-7 * 1e4);
 }
 
-TEST(QdwhMixed, Rectangular) {
+TEST(QdwhFloat, Rectangular) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
     opt.cond = 1e3;
@@ -72,7 +85,7 @@ TEST(QdwhMixed, Rectangular) {
     int const m = 50, n = 20, nb = 8;
     auto A = gen::cond_matrix<double>(eng, m, n, nb, opt);
     TiledMatrix<double> H(n, n, nb);
-    qdwh_mixed(eng, A, H);
+    qdwh(eng, A, H, float_request());
     auto U = ref::to_dense(A);
     EXPECT_LE(ref::orthogonality(U) / std::sqrt(static_cast<double>(n)), 1e-14);
 }

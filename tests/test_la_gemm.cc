@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "linalg/gemm.hh"
 #include "linalg/util.hh"
 #include "ref/dense.hh"
@@ -178,4 +181,54 @@ TYPED_TEST(LaGemm, GemmOnSubViews) {
     auto P = ref::gemm(Op::NoTrans, Op::ConjTrans, T(1), D1, D2);
     EXPECT_LE(ref::diff_fro(ref::to_dense(C), P),
               test::tol<T>(200) * (1 + ref::norm_fro(P)));
+}
+
+TYPED_TEST(LaGemm, GemmRtUpperMatchesGemmAndSkipsLowerTiles) {
+    // la::gemm_rt_upper is the Q1 Q2^H update of the stacked-QR iterations:
+    // B's strict-lower block tiles are structurally zero and never read, so
+    // here they hold NaN. Both overloads (in place for Zolo-PD, out of place
+    // for QDWH) must match la::gemm(NoTrans, ConjTrans) on the same B with
+    // those tiles zeroed. Every dimension is unevenly tiled.
+    using T = TypeParam;
+    using R = real_t<T>;
+    rt::Engine eng(3);
+    std::vector<int> const rows{4, 4, 3}, cols{5, 3, 2};
+    int const m = 11, n = 10;
+    auto Da = ref::random_dense<T>(m, n, 12);
+    auto Db = ref::random_dense<T>(n, n, 13);
+    auto Dd = ref::random_dense<T>(m, n, 14);
+    TiledMatrix<T> A(rows, cols), Bnan(cols, cols), Bzero(cols, cols);
+    TiledMatrix<T> D(rows, cols), Cin(rows, cols), Cout(rows, cols),
+        Cref(rows, cols);
+    test::dense_to_tiled(Da, A);
+    test::dense_to_tiled(Db, Bnan);
+    test::dense_to_tiled(Db, Bzero);
+    test::dense_to_tiled(Dd, D);
+    test::dense_to_tiled(Dd, Cin);
+    test::dense_to_tiled(Dd, Cref);
+    T const nan = from_real<T>(std::numeric_limits<R>::quiet_NaN());
+    for (int j = 0; j < Bnan.nt(); ++j)
+        for (int i = j + 1; i < Bnan.mt(); ++i)
+            for (int c = 0; c < Bnan.tile_nb(j); ++c)
+                for (int r = 0; r < Bnan.tile_mb(i); ++r) {
+                    Bnan.tile(i, j)(r, c) = nan;
+                    Bzero.tile(i, j)(r, c) = T(0);
+                }
+    // The out-of-place result is write-only: start it as NaN too.
+    for (std::int64_t j = 0; j < n; ++j)
+        for (std::int64_t i = 0; i < m; ++i)
+            Cout.at(i, j) = nan;
+
+    T const alpha = from_real<T>(R(1.25));
+    T const beta = from_real<T>(R(-0.75));
+    la::gemm(eng, Op::NoTrans, Op::ConjTrans, alpha, A, Bzero, beta, Cref);
+    la::gemm_rt_upper(eng, alpha, A, Bnan, beta, Cin);
+    la::gemm_rt_upper(eng, alpha, A, Bnan, beta, D, Cout);
+    eng.wait();
+
+    auto P = ref::to_dense(Cref);
+    R const tol = test::tol<T>(200) * (1 + ref::norm_fro(P));
+    EXPECT_LE(ref::diff_fro(ref::to_dense(Cin), P), tol) << "in place";
+    EXPECT_LE(ref::diff_fro(ref::to_dense(Cout), P), tol) << "out of place";
+    EXPECT_EQ(ref::diff_fro(ref::to_dense(D), Dd), R(0)) << "D is read-only";
 }

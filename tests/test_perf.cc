@@ -39,7 +39,7 @@ TEST(PerfModel, StructuredOpStreamMatchesStructuredFormula) {
     // per-QR-iteration model instead of the dense 26/3 n^3 one.
     std::int64_t const n = 20000;
     for (auto [qr, ch] : {std::pair{3, 3}, {5, 1}}) {
-        auto ops = qdwh_ops(n, 320, qr, ch, /*structured_qr=*/true);
+        auto ops = qdwh_ops(n, 320, qr, ch, /*structured=*/true);
         double sum = 0;
         for (auto const& op : ops)
             sum += op.update_flops + op.panel_flops;
@@ -49,7 +49,7 @@ TEST(PerfModel, StructuredOpStreamMatchesStructuredFormula) {
         EXPECT_LE(sum, 1.05 * model) << "it_qr=" << qr;
         // Structured must be strictly cheaper than dense when QR iterations
         // are present.
-        auto dense = qdwh_ops(n, 320, qr, ch, /*structured_qr=*/false);
+        auto dense = qdwh_ops(n, 320, qr, ch, /*structured=*/false);
         double dsum = 0;
         for (auto const& op : dense)
             dsum += op.update_flops + op.panel_flops;
@@ -61,12 +61,11 @@ TEST(PerfModel, StructuredOpStreamMatchesStructuredFormula) {
 
 namespace {
 
-/// Run one stacked-QR factor + Q generation (dense oracle or structured) on
-/// a live engine and return the kernel counter delta.
+/// Run one structured stacked-QR factor + Q generation on a live engine and
+/// return the kernel counter delta.
 template <typename T>
 double measured_stacked_qr_flops(std::vector<int> const& rows,
-                                 std::vector<int> const& cols,
-                                 bool structured) {
+                                 std::vector<int> const& cols) {
     using namespace tbp;
     rt::Engine eng(3);
     int const mt1 = static_cast<int>(rows.size());
@@ -82,14 +81,8 @@ double measured_stacked_qr_flops(std::vector<int> const& rows,
     auto Tm = la::alloc_qr_t(W);
     TiledMatrix<T> Q(wrows, cols);
     double const before = blas::kernel::flops_performed();
-    if (structured) {
-        la::geqrf_stacked_tri(eng, W, mt1, T(1), Tm);
-        la::ungqr_stacked_tri(eng, W, mt1, Tm, Q);
-    } else {
-        la::set_identity(eng, W.sub(mt1, 0, W.nt(), W.nt()));
-        la::geqrf(eng, W, Tm);
-        la::ungqr(eng, W, Tm, Q);
-    }
+    la::geqrf_stacked_tri(eng, W, mt1, T(1), Tm);
+    la::ungqr_stacked_tri(eng, W, mt1, Tm, Q);
     eng.wait();
     return blas::kernel::flops_performed() - before;
 }
@@ -99,25 +92,22 @@ double measured_stacked_qr_flops(std::vector<int> const& rows,
 TEST(PerfModel, StackedQrKernelFlopsReplayIsExact) {
     // stacked_qr_kernel_flops replays the submission loops with the same
     // per-call uint64 truncation as the kernel counter, so the prediction
-    // must equal the measured delta EXACTLY — for both paths, both scalar
-    // weights, and uneven tilings. This is what keeps the bench JSON's
+    // must equal the measured delta EXACTLY — for both scalar weights and
+    // uneven tilings. This is what keeps the bench JSON's
     // model-match field honest.
     using tbp::fma_flops;
     for (auto const& [rows, cols] :
          {std::pair<std::vector<int>, std::vector<int>>{{4, 4, 4}, {4, 4}},
           {{5, 5, 3}, {5, 3}},
           {{4, 4}, {4, 4}}}) {
-        for (bool structured : {false, true}) {
-            double const wd = fma_flops<double>() / 2.0;
-            EXPECT_EQ(measured_stacked_qr_flops<double>(rows, cols, structured),
-                      stacked_qr_kernel_flops(rows, cols, structured, wd))
-                << "double structured=" << structured;
-            double const wz = fma_flops<std::complex<float>>() / 2.0;
-            EXPECT_EQ(measured_stacked_qr_flops<std::complex<float>>(
-                          rows, cols, structured),
-                      stacked_qr_kernel_flops(rows, cols, structured, wz))
-                << "complex structured=" << structured;
-        }
+        double const wd = fma_flops<double>() / 2.0;
+        EXPECT_EQ(measured_stacked_qr_flops<double>(rows, cols),
+                  stacked_qr_kernel_flops(rows, cols, wd))
+            << "double";
+        double const wz = fma_flops<std::complex<float>>() / 2.0;
+        EXPECT_EQ(measured_stacked_qr_flops<std::complex<float>>(rows, cols),
+                  stacked_qr_kernel_flops(rows, cols, wz))
+            << "complex";
     }
 }
 

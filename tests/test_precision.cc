@@ -18,7 +18,6 @@
 
 #include "comm/dist_qdwh.hh"
 #include "core/qdwh.hh"
-#include "core/qdwh_mixed.hh"
 #include "gen/matgen.hh"
 #include "perf/prec_model.hh"
 #include "ref/dense.hh"
@@ -77,10 +76,10 @@ PolarErrors<T> polar_errors(ref::Dense<T> const& A, ref::Dense<T> const& U,
 /// Exact per-bucket model == measured comparison (kernel_flops_exact runs).
 template <typename T>
 void expect_prec_model_exact(QdwhInfo const& info, std::vector<int> const& rows,
-                             std::vector<int> const& cols, bool structured) {
+                             std::vector<int> const& cols) {
     ASSERT_TRUE(info.kernel_flops_exact);
     auto const model = perf::qdwh_prec_kernel_flops(
-        rows, cols, info.rungs, info.it_qr, structured, /*compute_h=*/true,
+        rows, cols, info.rungs, info.it_qr, /*compute_h=*/true,
         fma_flops<T>() / 2.0, prec::native_prec<T>());
     for (std::size_t p = 0; p < static_cast<std::size_t>(prec::kNumPrec); ++p)
         EXPECT_EQ(model.by_prec[p], info.kernel_flops_by_prec[p])
@@ -125,7 +124,7 @@ TYPED_TEST(Precision, AdaptiveMatchesNativeOrthogonalityAcrossCond) {
         EXPECT_EQ(info.rungs.size(),
                   static_cast<std::size_t>(info.iterations));
         expect_prec_model_exact<T>(info, A.row_tile_sizes(),
-                                   A.col_tile_sizes(), qo.structured_qr);
+                                   A.col_tile_sizes());
     }
 }
 
@@ -317,7 +316,7 @@ TEST(PrecisionLadder, ForcedFallbackPromotesOneRung) {
               prec::promote(planned, prec::Prec::Double));
     // Pre-submission failure discards no charges: accounting stays exact.
     expect_prec_model_exact<double>(info, A.row_tile_sizes(),
-                                    A.col_tile_sizes(), qo.structured_qr);
+                                    A.col_tile_sizes());
     auto e = polar_errors(Ad, ref::to_dense(A), ref::to_dense(H));
     EXPECT_LE(e.orth, test::tol<double>(100));
 }
@@ -461,7 +460,7 @@ TEST(PrecisionLadder, ModelMatchesMeasuredPerRequestAndShape) {
         ASSERT_EQ(qdwh_status(eng, A, H, info, qo), Status::Ok)
             << prec::precision_name(cs.req) << " " << cs.m << "x" << cs.n;
         expect_prec_model_exact<double>(info, A.row_tile_sizes(),
-                                        A.col_tile_sizes(), qo.structured_qr);
+                                        A.col_tile_sizes());
     }
 }
 
@@ -484,13 +483,13 @@ TEST(PrecisionLadder, FloatKindAdaptiveCapsAtFloat) {
     ASSERT_FALSE(info.rungs.empty());
     EXPECT_EQ(info.rungs.back(), prec::Prec::Float);
     expect_prec_model_exact<float>(info, A.row_tile_sizes(),
-                                   A.col_tile_sizes(), qo.structured_qr);
+                                   A.col_tile_sizes());
 }
 
-// qdwh_mixed's H contract (satellite of the ladder work): H is computed in
-// double from the *original* A and the refined U — Hermitian, and equal to
-// sym(U^H A) at double roundoff even though the iteration ran in float.
-TEST(QdwhMixed, HComputedInDoubleFromOriginalA) {
+// The Float request's H contract: H is computed in double from the
+// *original* A and the native-tail U — Hermitian, and equal to sym(U^H A)
+// at double roundoff even though the iterations ran in float.
+TEST(PrecisionLadder, FloatRequestHComputedInDoubleFromOriginalA) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
     opt.cond = 1e4;
@@ -499,8 +498,14 @@ TEST(QdwhMixed, HComputedInDoubleFromOriginalA) {
     auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
     auto Ad = ref::to_dense(A);
     TiledMatrix<double> H(n, n, nb);
-    auto info = qdwh_mixed(eng, A, H);
-    EXPECT_LE(info.orth_after, 1e-13);
+    QdwhOptions qo;
+    qo.precision.request = prec::Precision::Float;
+    auto info = qdwh(eng, A, H, qo);
+    // Every iteration on the float rung but the native last one.
+    ASSERT_GE(info.rungs.size(), 2u);
+    for (std::size_t k = 0; k + 1 < info.rungs.size(); ++k)
+        EXPECT_EQ(info.rungs[k], prec::Prec::Float) << "iteration " << k;
+    EXPECT_EQ(info.rungs.back(), prec::Prec::Double);
 
     auto U = ref::to_dense(A);
     auto Hd = ref::to_dense(H);
@@ -508,7 +513,7 @@ TEST(QdwhMixed, HComputedInDoubleFromOriginalA) {
     for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)
             EXPECT_NEAR(Hd(i, j), Hd(j, i), 1e-14);
-    // H == sym(U^H A) in double: the float stage must not leak into H.
+    // H == sym(U^H A) in double: the float rungs must not leak into H.
     auto UhA = ref::gemm(Op::ConjTrans, Op::NoTrans, 1.0, U, Ad);
     double hdiff = 0;
     for (int j = 0; j < n; ++j)

@@ -3,7 +3,7 @@
 // schedule, and get the paper's metrics printed.
 //
 // Usage:
-//   tbp_driver [--algo qdwh|zolo|mixed|newton|svdpd|svd|dqdwh|serve]
+//   tbp_driver [--algo qdwh|zolo|newton|svdpd|svd|dqdwh|serve]
 //              [--m M] [--n N] [--nb NB] [--cond KAPPA]
 //              [--dist geom|arith|cluster|loguni]
 //              [--type s|d|c|z] [--mode task|forkjoin|seq]
@@ -38,7 +38,6 @@
 #include "perf/qdwh_model.hh"
 #include "perf/sched_report.hh"
 #include "core/qdwh.hh"
-#include "core/qdwh_mixed.hh"
 #include "core/qdwh_svd.hh"
 #include "core/zolopd.hh"
 #include "gen/matgen.hh"
@@ -72,8 +71,6 @@ struct Args {
     int lookahead = 0;         // panel lookahead depth (geqrf/potrf)
     // --- precision ladder (qdwh, zolo) ------------------------------------
     prec::Precision precision = prec::Precision::Native;  // --precision
-    double rung_safety = 0;    // --rung-safety (0 = policy default)
-    int tail_native = -1;      // --tail-native (-1 = policy default)
     // --- fault plane (dqdwh, serve) ---------------------------------------
     std::string fault_plan = "off";  // off|drop|delay|dup|corrupt|slow|poison|mix
     std::uint64_t fault_seed = 1;    // chaos seed (replayable)
@@ -108,8 +105,8 @@ fault::RetryConfig make_retry_config(Args const& a) {
 
 [[noreturn]] void usage(char const* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--algo qdwh|zolo|mixed|newton|svdpd|svd|dqdwh|"
-                 "serve] [--m M] [--n N]\n"
+                 "usage: %s [--algo qdwh|zolo|newton|svdpd|svd|dqdwh|serve] "
+                 "[--m M] [--n N]\n"
                  "          [--nb NB] [--cond K] [--dist geom|arith|cluster|"
                  "loguni]\n"
                  "          [--type s|d|c|z] [--mode task|forkjoin|seq]\n"
@@ -118,9 +115,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "          [--comm-plan auto|2d|2.5d]\n"
                  "          [--jobs J] [--rate JOBS_PER_SEC] [--fifo]\n"
                  "          [--lookahead D]\n"
-                 "          [--precision double|float|bf16|adaptive] "
-                 "[--rung-safety S]\n"
-                 "          [--tail-native K]\n"
+                 "          [--precision native|float|bf16|adaptive]\n"
                  "\n"
                  "  --lookahead D prioritizes trailing updates feeding the "
                  "next D panels.\n"
@@ -130,10 +125,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "l_k recurrence\n"
                  "  (condition-driven), 'float'/'bf16' force every "
                  "non-tail iteration onto\n"
-                 "  that rung; --rung-safety S tightens/loosens the "
-                 "admissibility bound\n"
-                 "  u <= S * l_{k+1}, --tail-native K forces the last K "
-                 "iterations native.\n"
+                 "  that rung.\n"
                  "  --algo dqdwh runs the distributed QDWH over P virtual "
                  "ranks.\n"
                  "  --algo serve runs a mixed qdwh/zolo/posv/geqrf batch of "
@@ -241,7 +233,7 @@ Args parse(int argc, char** argv) {
             a.lookahead = std::atoi(need("--lookahead"));
         } else if (!std::strcmp(argv[i], "--precision")) {
             std::string p = need("--precision");
-            if (p == "native" || p == "double") {
+            if (p == "native") {
                 a.precision = prec::Precision::Native;
             } else if (p == "float") {
                 a.precision = prec::Precision::Float;
@@ -253,10 +245,6 @@ Args parse(int argc, char** argv) {
                 std::fprintf(stderr, "unknown --precision %s\n", p.c_str());
                 usage(argv[0]);
             }
-        } else if (!std::strcmp(argv[i], "--rung-safety")) {
-            a.rung_safety = std::atof(need("--rung-safety"));
-        } else if (!std::strcmp(argv[i], "--tail-native")) {
-            a.tail_native = std::atoi(need("--tail-native"));
         } else if (!std::strcmp(argv[i], "--comm")) {
             a.comm = need("--comm");
             if (a.comm != "engine" && a.comm != "ring") {
@@ -332,16 +320,6 @@ void print_ladder(Args const& a, std::vector<prec::Prec> const& rungs,
                 prec::precision_name(a.precision), sched.c_str(), fallbacks);
 }
 
-prec::PrecisionPolicy make_policy(Args const& a) {
-    prec::PrecisionPolicy pol;
-    pol.request = a.precision;
-    if (a.rung_safety > 0)
-        pol.rung_safety = a.rung_safety;
-    if (a.tail_native >= 0)
-        pol.tail_native = a.tail_native;
-    return pol;
-}
-
 template <typename T>
 int run_tiled(Args const& a) {
     rt::Engine eng(a.threads, a.mode);
@@ -368,7 +346,7 @@ int run_tiled(Args const& a) {
     if (a.algo == "qdwh") {
         QdwhOptions qo;
         qo.lookahead = a.lookahead;
-        qo.precision = make_policy(a);
+        qo.precision.request = a.precision;
         auto info = qdwh(eng, A, H, qo);
         iters = info.iterations;
         it_qr = info.it_qr;
@@ -381,23 +359,12 @@ int run_tiled(Args const& a) {
         ZoloOptions zo;
         zo.r = a.r;
         zo.lookahead = a.lookahead;
-        zo.precision = make_policy(a);
+        zo.precision.request = a.precision;
         auto info = zolo_pd(eng, A, H, zo);
         iters = info.iterations;
         it_qr = info.qr_solves;
         it_chol = info.chol_solves;
         flops = info.flops;
-    } else if (a.algo == "mixed") {
-        if constexpr (std::is_same_v<T, double>) {
-            auto info = qdwh_mixed(eng, A, H);
-            iters = info.low_precision.iterations;
-            it_qr = info.low_precision.it_qr;
-            it_chol = info.refine_steps;
-            flops = info.low_precision.flops;
-        } else {
-            std::fprintf(stderr, "--algo mixed requires --type d\n");
-            return 2;
-        }
     } else if (a.algo == "svd") {
         auto res = qdwh_svd(eng, A, {});
         double const secs = t_run.elapsed();
@@ -542,7 +509,8 @@ int run_dist(Args const& a) {
 
     ref::Dense<T> U(a.m, a.n);
     comm::DistQdwhInfo info;
-    auto const pol = make_policy(a);
+    prec::PrecisionPolicy pol;
+    pol.request = a.precision;
     Timer t_run;
     world.run([&](comm::Communicator& c) {
         comm::DistMatrix<T> A(c, a.m, a.n, a.nb, g);
