@@ -59,11 +59,7 @@ fault::RetryConfig bench_retry() {
 /// under `plan`; installs nothing when `install` is false (bare baseline).
 CaseResult run_case(int P, std::int64_t n, int nb, fault::FaultPlan plan,
                     bool install) {
-    int d = 1;
-    for (int k = 1; k * k <= P; ++k)
-        if (P % k == 0)
-            d = k;
-    Grid const g{d, P / d};
+    Grid const g = comm::near_square_grid(P);
     auto fill = [](std::int64_t i, std::int64_t j) {
         return (i == j ? 2.0 : 0.0) + 1.0 / static_cast<double>(1 + i + j);
     };

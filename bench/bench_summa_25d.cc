@@ -50,7 +50,7 @@ struct Measured {
 };
 
 /// One distributed gemm (m x k times k x n doubles, tile nb) on the p*q*c
-/// world through dist_gemm (c == 1 is the plain 2D SUMMA). The world does
+/// world through summa_25d (c == 1 is the plain 2D SUMMA). The world does
 /// nothing else, so the report is the gemm's traffic alone.
 Measured run_gemm(Shape s, std::int64_t m, std::int64_t n, std::int64_t k,
                   int nb, bool deterministic) {
@@ -71,7 +71,7 @@ Measured run_gemm(Shape s, std::int64_t m, std::int64_t n, std::int64_t k,
         A.fill(f);
         B.fill(f);
         C.fill(f);
-        comm::dist_gemm(c, g3, 1.5, A, B, 0.5, C);
+        comm::summa_25d(c, g3, Op::NoTrans, 1.5, A, B, 0.5, C);
     });
     Measured mres;
     mres.seconds = t.elapsed();
@@ -110,11 +110,8 @@ Dims weak_dims(int P, int nb) {
 std::vector<Shape> shapes_for(int P) {
     std::vector<Shape> out;
     auto near_square = [](int L) {
-        int p = 1;
-        for (int d = 1; d * d <= L; ++d)
-            if (L % d == 0)
-                p = d;
-        return Shape{p, L / p, 1};
+        Grid const g = comm::near_square_grid(L);
+        return Shape{g.p, g.q, 1};
     };
     out.push_back(near_square(P));
     for (int c : {2, 4}) {

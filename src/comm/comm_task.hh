@@ -60,7 +60,7 @@ void task_recv_tile(rt::Engine& eng, Communicator& c, detail::Staged<T>& dst,
 /// SUMMA gemm (C := alpha A B + beta C, NoTrans, conforming block-cyclic
 /// distributions on g3's layer grid) with communication and computation
 /// both running as tasks on this rank's engine: the task-DAG counterpart of
-/// the SPMD dist_gemm, bit-identical to it at every c and in both reduction
+/// the SPMD summa_25d, bit-identical to it at every c and in both reduction
 /// modes (every path accumulates through la::summa_step_accumulate and the
 /// C-tile RW chains reproduce its fold order, while the engine overlaps
 /// receives with ready gemms). The plain 2D SUMMA is g3 = {p, q, 1}. Staged
@@ -85,8 +85,8 @@ void task_recv_tile(rt::Engine& eng, Communicator& c, detail::Staged<T>& dst,
 ///     the dataflow.
 template <typename T>
 void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
-                     T alpha, DistMatrix<T>& A, DistMatrix<T>& B, T beta,
-                     DistMatrix<T>& C, int tag_base = 1 << 27) {
+                     T alpha, TiledMatrix<T> A, TiledMatrix<T> B, T beta,
+                     TiledMatrix<T> C, int tag_base = 1 << 27) {
     Grid const g = g3.layer();
     int const mt = C.mt(), nt = C.nt(), kt = A.nt();
     tbp_require(c.size() == g3.size());
@@ -137,25 +137,25 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
             int const lay = g3.layer_of_step(l, kt);
             if (lay != 0) {
                 for (int i = 0; i < mt; ++i)
-                    if (A.owner(i, l) == my)
+                    if (A.owner_rank(i, l) == my)
                         task_send_tile(eng, c, A.tile(i, l),
                                        g3.global(lay, my_lr),
                                        fiber_a_tag(l, i));
                 for (int j = 0; j < nt; ++j)
-                    if (B.owner(l, j) == my)
+                    if (B.owner_rank(l, j) == my)
                         task_send_tile(eng, c, B.tile(l, j),
                                        g3.global(lay, my_lr),
                                        fiber_b_tag(l, j));
                 continue;
             }
             for (int i = 0; i < mt; ++i)
-                if (A.owner(i, l) == my)
+                if (A.owner_rank(i, l) == my)
                     for (int r : row_group(g, i))
                         if (r != my)
                             task_send_tile(eng, c, A.tile(i, l), r,
                                            stage_a_tag(l, i));
             for (int j = 0; j < nt; ++j)
-                if (B.owner(l, j) == my)
+                if (B.owner_rank(l, j) == my)
                     for (int r : col_group(g, j))
                         if (r != my)
                             task_send_tile(eng, c, B.tile(l, j), r,
@@ -167,14 +167,16 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
             if (g3.layer_of_step(l, kt) != 0)
                 continue;
             for (int i = 0; i < mt; ++i)
-                if (in_group(row_group(g, i), my) && A.owner(i, l) != my)
+                if (in_group(row_group(g, i), my) && A.owner_rank(i, l) != my)
                     task_recv_tile(eng, c, a_stage[static_cast<size_t>(l)][i],
-                                   A.tile_mb(i), A.tile_nb(l), A.owner(i, l),
+                                   A.tile_mb(i), A.tile_nb(l),
+                                   A.owner_rank(i, l),
                                    stage_a_tag(l, i));
             for (int j = 0; j < nt; ++j)
-                if (in_group(col_group(g, j), my) && B.owner(l, j) != my)
+                if (in_group(col_group(g, j), my) && B.owner_rank(l, j) != my)
                     task_recv_tile(eng, c, b_stage[static_cast<size_t>(l)][j],
-                                   B.tile_mb(l), B.tile_nb(j), B.owner(l, j),
+                                   B.tile_mb(l), B.tile_nb(j),
+                                   B.owner_rank(l, j),
                                    stage_b_tag(l, j));
         }
 
@@ -186,11 +188,11 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
                     if (!C.is_local(i, j))
                         continue;
                     Tile<T> ta =
-                        A.owner(i, l) == my
+                        A.owner_rank(i, l) == my
                             ? A.tile(i, l)
                             : a_stage[static_cast<size_t>(l)][i].tile();
                     Tile<T> tb =
-                        B.owner(l, j) == my
+                        B.owner_rank(l, j) == my
                             ? B.tile(l, j)
                             : b_stage[static_cast<size_t>(l)][j].tile();
                     auto tc = C.tile(i, j);
@@ -242,7 +244,7 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
         // any plain receive task can run).
         for (int l = my_lo; l < my_hi; ++l) {
             for (int i = 0; i < mt; ++i) {
-                if (A.owner(i, l) != my_lr)
+                if (A.owner_rank(i, l) != my_lr)
                     continue;
                 auto& rep = a_rep[static_cast<size_t>(l)][i];
                 rep.mb = A.tile_mb(i);
@@ -264,7 +266,7 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
                            1);
             }
             for (int j = 0; j < nt; ++j) {
-                if (B.owner(l, j) != my_lr)
+                if (B.owner_rank(l, j) != my_lr)
                     continue;
                 auto& rep = b_rep[static_cast<size_t>(l)][j];
                 rep.mb = B.tile_mb(l);
@@ -290,16 +292,18 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
         // Plain staged receives from same-layer holders.
         for (int l = my_lo; l < my_hi; ++l) {
             for (int i = 0; i < mt; ++i)
-                if (in_group(row_group(g, i), my_lr) && A.owner(i, l) != my_lr)
+                if (in_group(row_group(g, i), my_lr)
+                    && A.owner_rank(i, l) != my_lr)
                     task_recv_tile(eng, c, a_stage[static_cast<size_t>(l)][i],
                                    A.tile_mb(i), A.tile_nb(l),
-                                   g3.global(my_layer, A.owner(i, l)),
+                                   g3.global(my_layer, A.owner_rank(i, l)),
                                    stage_a_tag(l, i));
             for (int j = 0; j < nt; ++j)
-                if (in_group(col_group(g, j), my_lr) && B.owner(l, j) != my_lr)
+                if (in_group(col_group(g, j), my_lr)
+                    && B.owner_rank(l, j) != my_lr)
                     task_recv_tile(eng, c, b_stage[static_cast<size_t>(l)][j],
                                    B.tile_mb(l), B.tile_nb(j),
-                                   g3.global(my_layer, B.owner(l, j)),
+                                   g3.global(my_layer, B.owner_rank(l, j)),
                                    stage_b_tag(l, j));
         }
 
@@ -307,7 +311,7 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
         if (!exact)
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i)
-                    if (C.owner(i, j) == my_lr) {
+                    if (C.owner_rank(i, j) == my_lr) {
                         auto& pt = part[{i, j}];
                         pt.mb = C.tile_mb(i);
                         pt.nb = C.tile_nb(j);
@@ -317,14 +321,14 @@ void dist_gemm_tasks(Communicator& c, rt::Engine& eng, ProcGrid3d g3,
         for (int l = my_lo; l < my_hi; ++l) {
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i) {
-                    if (C.owner(i, j) != my_lr)
+                    if (C.owner_rank(i, j) != my_lr)
                         continue;
                     Tile<T> ta =
-                        A.owner(i, l) == my_lr
+                        A.owner_rank(i, l) == my_lr
                             ? a_rep[static_cast<size_t>(l)][i].tile()
                             : a_stage[static_cast<size_t>(l)][i].tile();
                     Tile<T> tb =
-                        B.owner(l, j) == my_lr
+                        B.owner_rank(l, j) == my_lr
                             ? b_rep[static_cast<size_t>(l)][j].tile()
                             : b_stage[static_cast<size_t>(l)][j].tile();
                     if (exact) {

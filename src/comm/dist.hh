@@ -1,9 +1,10 @@
 // Distributed-memory kernels over virtual ranks.
 //
-// DistMatrix stores only the tiles a rank owns under the 2D block-cyclic map
-// (ScaLAPACK/SLATE distribution); the routines below are SPMD functions run
-// inside World::run. They exercise, with real message passing, the pieces
-// the paper introduces as new distributed kernels:
+// A rank-local TiledMatrix (DistMatrix below) stores only the tiles a rank
+// owns under the 2D block-cyclic map (ScaLAPACK/SLATE distribution); the
+// routines below are SPMD functions run inside World::run. They exercise,
+// with real message passing, the pieces the paper introduces as new
+// distributed kernels:
 //
 //   dist_col_abs_sums - Algorithm 2 lines 5-8: local column sums via
 //                       internal::norm, then MPI_Allreduce.
@@ -30,78 +31,19 @@
 
 namespace tbp::comm {
 
-/// Per-rank storage of a block-cyclically distributed m-by-n matrix.
+/// The rank-local TiledMatrix of `comm`'s rank: an m-by-n matrix in nb
+/// tiles on `grid` that stores only the tiles this rank owns. A
+/// constructor only — the SPMD kernels take TiledMatrix. The grid may be
+/// smaller than the communicator: 2.5D SUMMA builds matrices on the p x q
+/// layer grid of a p*q*c world, so ranks >= grid.size() (the replication
+/// layers) own no tiles.
 template <typename T>
-class DistMatrix {
-public:
+struct DistMatrix : TiledMatrix<T> {
     DistMatrix(Communicator& comm, std::int64_t m, std::int64_t n, int nb,
                Grid grid)
-        : comm_(&comm), grid_(grid),
-          rb_(TiledMatrix<T>::chop(m, nb)), cb_(TiledMatrix<T>::chop(n, nb)),
-          m_(m), n_(n) {
-        // The grid may be smaller than the communicator: 2.5D SUMMA builds
-        // matrices on the p x q layer grid of a p*q*c world, so ranks
-        // >= grid.size() (the replication layers) own no tiles.
+        : TiledMatrix<T>(m, n, nb, grid, comm.rank()) {
         tbp_require(grid.size() <= comm.size());
-        mt_ = static_cast<int>(rb_.size());
-        nt_ = static_cast<int>(cb_.size());
-        local_.resize(static_cast<size_t>(mt_) * nt_);
-        for (int j = 0; j < nt_; ++j)
-            for (int i = 0; i < mt_; ++i)
-                if (owner(i, j) == comm.rank())
-                    local_[idx(i, j)].assign(
-                        static_cast<size_t>(rb_[i]) * cb_[j], T(0));
     }
-
-    int rank() const { return comm_->rank(); }
-    Grid grid() const { return grid_; }
-    int owner(int i, int j) const {
-        return (i % grid_.p) * grid_.q + (j % grid_.q);
-    }
-    bool is_local(int i, int j) const { return owner(i, j) == rank(); }
-
-    std::int64_t m() const { return m_; }
-    std::int64_t n() const { return n_; }
-    int mt() const { return mt_; }
-    int nt() const { return nt_; }
-    int tile_mb(int i) const { return rb_[i]; }
-    int tile_nb(int j) const { return cb_[j]; }
-
-    Tile<T> tile(int i, int j) {
-        tbp_require(is_local(i, j));
-        return Tile<T>(local_[idx(i, j)].data(), rb_[i], cb_[j], rb_[i]);
-    }
-
-    /// Fill local tiles from a global element function f(i, j) -> T.
-    template <typename F>
-    void fill(F const& f) {
-        std::int64_t row0 = 0;
-        for (int i = 0; i < mt_; ++i) {
-            std::int64_t col0 = 0;
-            for (int j = 0; j < nt_; ++j) {
-                if (is_local(i, j)) {
-                    auto t = tile(i, j);
-                    for (int c = 0; c < t.nb(); ++c)
-                        for (int r = 0; r < t.mb(); ++r)
-                            t(r, c) = f(row0 + r, col0 + c);
-                }
-                col0 += cb_[j];
-            }
-            row0 += rb_[i];
-        }
-    }
-
-private:
-    size_t idx(int i, int j) const {
-        return static_cast<size_t>(i) + static_cast<size_t>(j) * mt_;
-    }
-
-    Communicator* comm_;
-    Grid grid_;
-    std::vector<int> rb_, cb_;
-    std::int64_t m_, n_;
-    int mt_ = 0, nt_ = 0;
-    std::vector<std::vector<T>> local_;  // empty for remote tiles
 };
 
 /// Replicated dense image (column-major, m x n) of a distributed matrix on
@@ -109,7 +51,7 @@ private:
 /// one allgatherv exchanges them; every rank re-derives the others' pack
 /// order from the ownership map. Collective — all ranks must call.
 template <typename T>
-std::vector<T> dist_gather(Communicator& comm, DistMatrix<T>& A) {
+std::vector<T> dist_gather(Communicator& comm, TiledMatrix<T> const& A) {
     std::vector<T> mine;
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
@@ -134,7 +76,7 @@ std::vector<T> dist_gather(Communicator& comm, DistMatrix<T>& A) {
     for (int j = 0; j < A.nt(); ++j) {
         std::int64_t row0 = 0;
         for (int i = 0; i < A.mt(); ++i) {
-            auto const r = static_cast<std::size_t>(A.owner(i, j));
+            auto const r = static_cast<std::size_t>(A.owner_rank(i, j));
             T const* src = all.data() + off[r] + pos[r];
             for (int cc = 0; cc < A.tile_nb(j); ++cc)
                 for (int rr = 0; rr < A.tile_mb(i); ++rr)
@@ -150,7 +92,8 @@ std::vector<T> dist_gather(Communicator& comm, DistMatrix<T>& A) {
 
 /// Global column absolute sums: local tile sums + Allreduce (Alg. 2, l. 5-8).
 template <typename T>
-std::vector<real_t<T>> dist_col_abs_sums(Communicator& comm, DistMatrix<T>& A) {
+std::vector<real_t<T>> dist_col_abs_sums(Communicator& comm,
+                                         TiledMatrix<T> const& A) {
     using R = real_t<T>;
     std::vector<R> sums(static_cast<size_t>(A.n()), R(0));
     std::int64_t col0 = 0;
@@ -166,7 +109,7 @@ std::vector<real_t<T>> dist_col_abs_sums(Communicator& comm, DistMatrix<T>& A) {
 
 /// ||A||_F over the distribution.
 template <typename T>
-real_t<T> dist_norm_fro(Communicator& comm, DistMatrix<T>& A) {
+real_t<T> dist_norm_fro(Communicator& comm, TiledMatrix<T> const& A) {
     using R = real_t<T>;
     R local(0);
     for (int j = 0; j < A.nt(); ++j)
@@ -180,7 +123,7 @@ real_t<T> dist_norm_fro(Communicator& comm, DistMatrix<T>& A) {
 /// each rank multiplies its local tiles against the matching x block and
 /// the partial y's are combined with a single Allreduce.
 template <typename T>
-void dist_gemmA(Communicator& comm, Op opA, DistMatrix<T>& A,
+void dist_gemmA(Communicator& comm, Op opA, TiledMatrix<T> const& A,
                 std::vector<T> const& x, std::vector<T>& y) {
     std::int64_t const ny = (opA == Op::NoTrans) ? A.m() : A.n();
     tbp_require(static_cast<std::int64_t>(x.size())
@@ -221,7 +164,7 @@ void dist_gemmA(Communicator& comm, Op opA, DistMatrix<T>& A,
 /// Algorithm 2 on the distributed matrix; every rank returns the same
 /// estimate of ||A||_2.
 template <typename T>
-real_t<T> dist_norm2est(Communicator& comm, DistMatrix<T>& A,
+real_t<T> dist_norm2est(Communicator& comm, TiledMatrix<T> const& A,
                         double tol = 0.1, int max_iter = 100) {
     using R = real_t<T>;
     auto sums = dist_col_abs_sums(comm, A);

@@ -20,7 +20,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <utility>
 #include <vector>
 
@@ -36,7 +35,7 @@ namespace tbp::comm {
 
 namespace detail {
 
-/// Staged remote tile: owned storage + view.
+/// Received tile: owned storage + view.
 template <typename T>
 struct Staged {
     std::vector<T> buf;
@@ -44,21 +43,12 @@ struct Staged {
     Tile<T> tile() { return Tile<T>(buf.data(), mb, nb, mb); }
 };
 
-/// Pack a tile view into a contiguous column-major buffer.
-template <typename T>
-std::vector<T> pack_tile(Tile<T> t) {
-    std::vector<T> buf(static_cast<size_t>(t.mb()) * t.nb());
-    for (int j = 0; j < t.nb(); ++j)
-        for (int i = 0; i < t.mb(); ++i)
-            buf[static_cast<size_t>(i) + static_cast<size_t>(j) * t.mb()] = t(i, j);
-    return buf;
-}
-
-/// Send tile data to a rank (buffered, non-blocking in this transport).
+/// Point-to-point send of a contiguous tile (matrix tiles and received
+/// tiles are; buffered, never blocks in this transport).
 template <typename T>
 void send_tile(Communicator& c, Tile<T> t, int dst, int tag) {
-    auto buf = pack_tile(t);
-    c.send(buf, dst, tag);
+    tbp_require(t.ld() == t.mb());
+    c.send(t.data(), static_cast<size_t>(t.mb()) * t.nb(), dst, tag);
 }
 
 template <typename T>
@@ -89,33 +79,6 @@ inline std::vector<int> col_group(Grid g, int j) {
     return out;
 }
 
-/// Broadcast tile (i, j) of A from its owner to `group`; returns a view of
-/// the tile (local or staged). Every rank in `group` (and the owner) must
-/// call this with the same arguments.
-template <typename T>
-detail::Staged<T> stage_tile(Communicator& c, DistMatrix<T>& A, int i, int j,
-                             std::vector<int> const& group, int tag) {
-    int const owner = A.owner(i, j);
-    detail::Staged<T> s;
-    if (c.rank() == owner) {
-        auto t = A.tile(i, j);
-        for (int r : group)
-            if (r != owner)
-                detail::send_tile(c, t, r, tag);
-        // Local copy keeps the return type uniform.
-        s.mb = t.mb();
-        s.nb = t.nb();
-        s.buf.resize(static_cast<size_t>(s.mb) * s.nb);
-        for (int jj = 0; jj < s.nb; ++jj)
-            for (int ii = 0; ii < s.mb; ++ii)
-                s.buf[static_cast<size_t>(ii) + static_cast<size_t>(jj) * s.mb] =
-                    t(ii, jj);
-    } else {
-        s = detail::recv_tile<T>(c, A.tile_mb(i), A.tile_nb(j), owner, tag);
-    }
-    return s;
-}
-
 inline bool in_group(std::vector<int> const& g, int r) {
     for (int x : g)
         if (x == r)
@@ -125,18 +88,20 @@ inline bool in_group(std::vector<int> const& g, int r) {
 
 namespace detail {
 
-/// In-flight staged tile: the nonblocking counterpart of stage_tile.
-/// Owner ranks complete at begin (sends are buffered); receivers carry a
-/// posted irecv that ready() resolves. The source tile must stay unmodified
-/// between begin and the matching compute (true for the SUMMA operands:
-/// only C is written while A/B panels are in flight).
+/// A tile broadcast in flight (see stage()). Group members other than the
+/// holder carry a posted irecv into their own buffer; the holder's view is
+/// the source tile itself, which must stay unmodified until every consumer
+/// has used it (true for every staged operand here: the kernels stage tiles
+/// they only read afterwards). Ranks outside the group hold nothing.
 template <typename T>
 struct PendingStage {
-    Staged<T> s;
-    Request req;          // complete for the owner / local copies
-    bool needed = false;  // this rank consumes the tile
+    std::vector<T> buf;  // receive buffer (members other than the holder)
+    Tile<T> view;        // the staged tile; empty outside the group
+    Request req;         // complete on the holder and outside the group
 
     PendingStage() = default;
+    // The moved vector keeps its heap buffer, so view and the posted irecv
+    // stay valid.
     PendingStage(PendingStage&&) = default;
     PendingStage(PendingStage const&) = delete;
     PendingStage& operator=(PendingStage const&) = delete;
@@ -149,70 +114,87 @@ struct PendingStage {
     PendingStage& operator=(PendingStage&& o) {
         if (this != &o) {
             req.drain();
-            s = std::move(o.s);
+            buf = std::move(o.buf);
+            view = o.view;
             req = std::move(o.req);
-            needed = o.needed;
         }
         return *this;
     }
 
-    // The posted irecv targets s.buf, so it must complete before the
-    // buffer dies — even on ranks that staged a tile they end up not
-    // computing with (group membership is per block row/column, not per
-    // local tile). The matching send is unconditional, so this wait
-    // terminates: immediately in the fault-free engine, and within the
-    // retry deadline in fault mode, where drain() absorbs a failed
-    // transfer (noexcept — destructors must not throw during unwind).
+    // The posted irecv targets buf, so it must complete before the buffer
+    // dies — even on ranks that staged a tile they end up not computing
+    // with (group membership is per block row/column, not per local tile).
+    // The matching send is unconditional, so this wait terminates:
+    // immediately in the fault-free engine, and within the retry deadline
+    // in fault mode, where drain() absorbs a failed transfer (noexcept —
+    // destructors must not throw during unwind).
     ~PendingStage() { req.drain(); }
 
     // The consuming path: propagates a dimensioned CommError if the staged
     // transfer ultimately failed, so compute never runs on garbage — this
     // is the "detect, report, re-drive" half of the guard (re-driving
     // happened inside wait()'s timed recovery loop).
-    Staged<T>& ready() {
+    Tile<T> ready() {
         req.wait();
-        return s;
+        return view;
     }
 };
 
 }  // namespace detail
 
-/// Nonblocking stage of tile (i, j) of A from its owner to `group`: the
-/// owner isends to every group member and keeps a packed local copy; group
-/// members post an irecv. Call pattern matches stage_tile (same ranks, same
-/// tag); consume via .ready().
+/// The one tile-staging call: broadcast tile `t` from rank `holder` to the
+/// ranks of `group` under `tag`. The holder and every group member call it
+/// with the same holder, group and tag; `t` carries the data on the holder
+/// and only the shape elsewhere. The holder sends to every other member
+/// (buffered, in group order) and, if it is a member itself, stages a view
+/// of `t`; the other members post a receive. Blocking users call .ready()
+/// at once; pipelined ones (detail::pipelined_steps) later.
 template <typename T>
-detail::PendingStage<T> stage_tile_begin(Communicator& c, DistMatrix<T>& A,
-                                         int i, int j,
-                                         std::vector<int> const& group,
-                                         int tag) {
-    int const owner = A.owner(i, j);
+detail::PendingStage<T> stage(Communicator& c, Tile<T> t, int holder,
+                              std::vector<int> const& group, int tag) {
     detail::PendingStage<T> p;
-    p.needed = in_group(group, c.rank());
-    if (c.rank() == owner) {
-        auto t = A.tile(i, j);
-        p.s.mb = t.mb();
-        p.s.nb = t.nb();
-        p.s.buf = detail::pack_tile(t);
+    bool const member = in_group(group, c.rank());
+    if (c.rank() == holder) {
         for (int r : group)
-            if (r != owner)
-                c.isend(p.s.buf.data(), p.s.buf.size(), r, tag);
-    } else if (p.needed) {
-        p.s.mb = A.tile_mb(i);
-        p.s.nb = A.tile_nb(j);
-        p.s.buf.resize(static_cast<size_t>(p.s.mb) * p.s.nb);
-        p.req = c.irecv(p.s.buf.data(), p.s.buf.size(), owner, tag);
+            if (r != holder)
+                detail::send_tile(c, t, r, tag);
+        if (member)
+            p.view = t;
+    } else if (member) {
+        p.buf.resize(static_cast<size_t>(t.mb()) * t.nb());
+        p.view = Tile<T>(p.buf.data(), t.mb(), t.nb(), t.mb());
+        p.req = c.irecv(p.buf.data(), p.buf.size(), holder, tag);
     }
     return p;
 }
 
 namespace detail {
 
+/// Tile (i, j) of A where this rank stores it, else only its shape.
+template <typename T>
+Tile<T> tile_or_shape(TiledMatrix<T> const& A, int i, int j) {
+    return A.is_local(i, j)
+               ? A.tile(i, j)
+               : Tile<T>(nullptr, A.tile_mb(i), A.tile_nb(j), A.tile_mb(i));
+}
+
+}  // namespace detail
+
+/// stage() of tile (i, j) of A from its owner.
+template <typename T>
+detail::PendingStage<T> stage(Communicator& c, TiledMatrix<T> const& A, int i,
+                              int j, std::vector<int> const& group, int tag) {
+    return stage(c, detail::tile_or_shape(A, i, j), A.owner_rank(i, j), group,
+                 tag);
+}
+
+namespace detail {
+
 /// Double-buffered step pipeline shared by every staged step loop:
-/// stage(l) posts step l's panels (stage_tile_begin) and returns them,
-/// compute(l, staged) consumes them. Step l+1 is posted before step l
-/// computes, so its broadcasts overlap step l's kernels; the staged operands
-/// must therefore be read-only across the loop.
+/// stage(l) posts step l's panels and returns them, compute(l, staged)
+/// consumes them. Step l+1 is posted before step l computes, so its
+/// broadcasts overlap step l's kernels; the staged operands must therefore
+/// be read-only across the loop.
 template <typename Stage, typename Compute>
 void pipelined_steps(int n, Stage&& stage, Compute&& compute) {
     using Step = decltype(stage(0));
@@ -233,8 +215,8 @@ void pipelined_steps(int n, Stage&& stage, Compute&& compute) {
 /// Distributed Hermitian rank-k update, lower triangle:
 ///   C := alpha A^H A + beta C, A kt x nt tiles, C nt x nt.
 template <typename T>
-void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
-               real_t<T> beta, DistMatrix<T>& C) {
+void dist_herk(Communicator& c, Grid g, real_t<T> alpha, TiledMatrix<T> A,
+               real_t<T> beta, TiledMatrix<T> C) {
     int const nt = C.nt(), kt = A.mt();
     tbp_require(C.mt() == nt && A.nt() == nt);
 
@@ -247,30 +229,17 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
     // owners of block row i (as the conj-transposed operand) and tile
     // A(l, j) by the owners of block column j. A is read-only here, so the
     // next step's panel broadcast can overlap this step's updates.
+    using Panel = std::vector<detail::PendingStage<T>>;
     struct Step {
-        std::map<int, detail::PendingStage<T>> row, col;
+        Panel row, col;
     };
     auto stage_step = [&](int l) {
         int const base = (1 << 21) + l * (2 * nt);
-        Step st;
-        for (int i = 0; i < nt; ++i) {
-            auto grp = row_group(g, i);
-            bool const need = in_group(grp, c.rank());
-            if (need || A.owner(l, i) == c.rank()) {
-                auto p = stage_tile_begin(c, A, l, i, grp, base + i);
-                if (need)
-                    st.row[i] = std::move(p);
-            }
-        }
-        for (int j = 0; j < nt; ++j) {
-            auto grp = col_group(g, j);
-            bool const need = in_group(grp, c.rank());
-            if (need || A.owner(l, j) == c.rank()) {
-                auto p = stage_tile_begin(c, A, l, j, grp, base + nt + j);
-                if (need)
-                    st.col[j] = std::move(p);
-            }
-        }
+        Step st{Panel(nt), Panel(nt)};
+        for (int i = 0; i < nt; ++i)
+            st.row[i] = stage(c, A, l, i, row_group(g, i), base + i);
+        for (int j = 0; j < nt; ++j)
+            st.col[j] = stage(c, A, l, j, col_group(g, j), base + nt + j);
         return st;
     };
 
@@ -281,12 +250,11 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
                     continue;
                 if (i == j)
                     blas::herk(Uplo::Lower, Op::ConjTrans, alpha,
-                               cur.col[j].ready().tile(), real_t<T>(1),
-                               C.tile(i, j));
+                               cur.col[j].ready(), real_t<T>(1), C.tile(i, j));
                 else
                     blas::gemm(Op::ConjTrans, Op::NoTrans, from_real<T>(alpha),
-                               cur.row[i].ready().tile(),
-                               cur.col[j].ready().tile(), T(1), C.tile(i, j));
+                               cur.row[i].ready(), cur.col[j].ready(), T(1),
+                               C.tile(i, j));
             }
         }
     });
@@ -294,7 +262,7 @@ void dist_herk(Communicator& c, Grid g, real_t<T> alpha, DistMatrix<T>& A,
 
 /// Distributed right-looking Cholesky, lower triangle: A = L L^H in place.
 template <typename T>
-void dist_potrf(Communicator& c, Grid g, DistMatrix<T>& A) {
+void dist_potrf(Communicator& c, Grid g, TiledMatrix<T> A) {
     int const nt = A.nt();
     tbp_require(A.mt() == nt);
 
@@ -303,37 +271,23 @@ void dist_potrf(Communicator& c, Grid g, DistMatrix<T>& A) {
         // Factor the diagonal tile; broadcast L(k,k) down its column group.
         if (A.is_local(k, k))
             blas::potrf(Uplo::Lower, A.tile(k, k));
-        auto ck_grp = col_group(g, k);
-        detail::Staged<T> lkk;
-        if (in_group(ck_grp, c.rank()) || A.owner(k, k) == c.rank()) {
-            auto s = stage_tile(c, A, k, k, ck_grp, tag);
-            if (in_group(ck_grp, c.rank()))
-                lkk = std::move(s);
-        }
-        ++tag;
+        auto lkk = stage(c, A, k, k, col_group(g, k), tag++);
+        lkk.ready();
 
         // Panel solves.
         for (int i = k + 1; i < nt; ++i)
             if (A.is_local(i, k))
                 blas::trsm(Side::Right, Uplo::Lower, Op::ConjTrans,
-                           Diag::NonUnit, T(1), lkk.tile(), A.tile(i, k));
+                           Diag::NonUnit, T(1), lkk.view, A.tile(i, k));
 
         // Broadcast panel tiles: A(i,k) to row group i and (as the mirrored
         // operand) to column group i.
-        std::map<int, detail::Staged<T>> row_stage, col_stage;
+        std::vector<detail::PendingStage<T>> row(nt), col(nt);
         for (int i = k + 1; i < nt; ++i) {
-            auto rgrp = row_group(g, i);
-            if (in_group(rgrp, c.rank()) || A.owner(i, k) == c.rank()) {
-                auto s = stage_tile(c, A, i, k, rgrp, tag + 2 * i);
-                if (in_group(rgrp, c.rank()))
-                    row_stage[i] = std::move(s);
-            }
-            auto cgrp = col_group(g, i);
-            if (in_group(cgrp, c.rank()) || A.owner(i, k) == c.rank()) {
-                auto s = stage_tile(c, A, i, k, cgrp, tag + 2 * i + 1);
-                if (in_group(cgrp, c.rank()))
-                    col_stage[i] = std::move(s);
-            }
+            row[i] = stage(c, A, i, k, row_group(g, i), tag + 2 * i);
+            row[i].ready();
+            col[i] = stage(c, A, i, k, col_group(g, i), tag + 2 * i + 1);
+            col[i].ready();
         }
         tag += 2 * nt;
 
@@ -344,11 +298,10 @@ void dist_potrf(Communicator& c, Grid g, DistMatrix<T>& A) {
                     continue;
                 if (i == j)
                     blas::herk(Uplo::Lower, Op::NoTrans, real_t<T>(-1),
-                               col_stage[j].tile(), real_t<T>(1), A.tile(i, j));
+                               col[j].view, real_t<T>(1), A.tile(i, j));
                 else
-                    blas::gemm(Op::NoTrans, Op::ConjTrans, T(-1),
-                               row_stage[i].tile(), col_stage[j].tile(), T(1),
-                               A.tile(i, j));
+                    blas::gemm(Op::NoTrans, Op::ConjTrans, T(-1), row[i].view,
+                               col[j].view, T(1), A.tile(i, j));
             }
         }
     }
@@ -358,87 +311,48 @@ void dist_potrf(Communicator& c, Grid g, DistMatrix<T>& A) {
 ///   op == ConjTrans: X := X L^{-H};  op == NoTrans: X := X L^{-1}.
 /// L is the lower triangle of Z (nt x nt), X is mt x nt tiles.
 template <typename T>
-void dist_trsm_right_lower(Communicator& c, Grid g, Op op, DistMatrix<T>& Z,
-                           DistMatrix<T>& X) {
+void dist_trsm_right_lower(Communicator& c, Grid g, Op op, TiledMatrix<T> Z,
+                           TiledMatrix<T> X) {
     int const mt = X.mt(), nt = X.nt();
     tbp_require(Z.mt() == nt && Z.nt() == nt);
-    bool const eff_upper = (op != Op::NoTrans);  // L^H is upper
+    // X L^H = B sweeps columns ascending, B(:,j) -= X(:,k) L(j,k)^H for
+    // j > k; X L = B sweeps descending, B(:,j) -= X(:,k) L(k,j) for j < k.
+    bool const ascending = (op != Op::NoTrans);
 
     int tag = 1 << 23;
-    auto solve_col = [&](int k) {
-        auto grp = col_group(g, k);
-        detail::Staged<T> lkk;
-        if (in_group(grp, c.rank()) || Z.owner(k, k) == c.rank()) {
-            auto s = stage_tile(c, Z, k, k, grp, tag);
-            if (in_group(grp, c.rank()))
-                lkk = std::move(s);
-        }
-        ++tag;
+    for (int s = 0; s < nt; ++s) {
+        int const k = ascending ? s : nt - 1 - s;
+        auto lkk = stage(c, Z, k, k, col_group(g, k), tag++);
+        lkk.ready();
         for (int i = 0; i < mt; ++i)
             if (X.is_local(i, k))
                 blas::trsm(Side::Right, Uplo::Lower, op, Diag::NonUnit, T(1),
-                           lkk.tile(), X.tile(i, k));
+                           lkk.view, X.tile(i, k));
         // Broadcast solved column k along process rows for the updates.
-        std::map<int, detail::Staged<T>> xk;
+        std::vector<detail::PendingStage<T>> xk(mt);
         for (int i = 0; i < mt; ++i) {
-            auto rgrp = row_group(g, i);
-            if (in_group(rgrp, c.rank()) || X.owner(i, k) == c.rank()) {
-                auto s = stage_tile(c, X, i, k, rgrp, tag + i);
-                if (in_group(rgrp, c.rank()))
-                    xk[i] = std::move(s);
-            }
+            xk[i] = stage(c, X, i, k, row_group(g, i), tag + i);
+            xk[i].ready();
         }
         tag += mt;
-        return xk;
-    };
 
-    if (eff_upper) {
-        // X L^H = B: ascending columns; B(:,j) -= X(:,k) (L^H)(k,j)
-        // with (L^H)(k,j) = L(j,k)^H, j > k.
-        for (int k = 0; k < nt; ++k) {
-            auto xk = solve_col(k);
-            for (int j = k + 1; j < nt; ++j) {
-                auto cgrp = col_group(g, j);
-                detail::Staged<T> ljk;
-                bool const need = in_group(cgrp, c.rank());
-                if (need || Z.owner(j, k) == c.rank()) {
-                    auto s = stage_tile(c, Z, j, k, cgrp, tag);
-                    if (need)
-                        ljk = std::move(s);
-                }
-                ++tag;
-                for (int i = 0; i < mt; ++i)
-                    if (X.is_local(i, j))
-                        blas::gemm(Op::NoTrans, Op::ConjTrans, T(-1),
-                                   xk[i].tile(), ljk.tile(), T(1), X.tile(i, j));
-            }
-        }
-    } else {
-        // X L = B: descending columns; B(:,j) -= X(:,k) L(k,j), k > j.
-        for (int k = nt - 1; k >= 0; --k) {
-            auto xk = solve_col(k);
-            for (int j = 0; j < k; ++j) {
-                auto cgrp = col_group(g, j);
-                detail::Staged<T> lkj;
-                bool const need = in_group(cgrp, c.rank());
-                if (need || Z.owner(k, j) == c.rank()) {
-                    auto s = stage_tile(c, Z, k, j, cgrp, tag);
-                    if (need)
-                        lkj = std::move(s);
-                }
-                ++tag;
-                for (int i = 0; i < mt; ++i)
-                    if (X.is_local(i, j))
-                        blas::gemm(Op::NoTrans, Op::NoTrans, T(-1),
-                                   xk[i].tile(), lkj.tile(), T(1), X.tile(i, j));
-            }
+        int const j0 = ascending ? k + 1 : 0, j1 = ascending ? nt : k;
+        for (int j = j0; j < j1; ++j) {
+            auto l = ascending ? stage(c, Z, j, k, col_group(g, j), tag++)
+                               : stage(c, Z, k, j, col_group(g, j), tag++);
+            l.ready();
+            for (int i = 0; i < mt; ++i)
+                if (X.is_local(i, j))
+                    blas::gemm(Op::NoTrans, op, T(-1), xk[i].view, l.view, T(1),
+                               X.tile(i, j));
         }
     }
 }
 
 /// Element-wise distributed update B := alpha A + beta B (conforming).
 template <typename T>
-void dist_add(DistMatrix<T>& A, T alpha, T beta, DistMatrix<T>& B) {
+void dist_add(TiledMatrix<T> const& A, T alpha, T beta,
+              TiledMatrix<T> const& B) {
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
             if (A.is_local(i, j))
@@ -446,7 +360,7 @@ void dist_add(DistMatrix<T>& A, T alpha, T beta, DistMatrix<T>& B) {
 }
 
 template <typename T>
-void dist_copy(DistMatrix<T>& A, DistMatrix<T>& B) {
+void dist_copy(TiledMatrix<T> const& A, TiledMatrix<T> const& B) {
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
             if (A.is_local(i, j))
@@ -454,7 +368,15 @@ void dist_copy(DistMatrix<T>& A, DistMatrix<T>& B) {
 }
 
 template <typename T>
-void dist_set_identity(DistMatrix<T>& A, real_t<T> diag = 1) {
+void dist_scale(T alpha, TiledMatrix<T> const& A) {
+    for (int j = 0; j < A.nt(); ++j)
+        for (int i = 0; i < A.mt(); ++i)
+            if (A.is_local(i, j))
+                blas::scale(alpha, A.tile(i, j));
+}
+
+template <typename T>
+void dist_set_identity(TiledMatrix<T> const& A, real_t<T> diag = 1) {
     for (int j = 0; j < A.nt(); ++j)
         for (int i = 0; i < A.mt(); ++i)
             if (A.is_local(i, j))
@@ -464,7 +386,7 @@ void dist_set_identity(DistMatrix<T>& A, real_t<T> diag = 1) {
 /// Local element-wise precision conversion between conforming distributed
 /// matrices on the same grid (identical ownership, no communication).
 template <typename TS, typename TD>
-void dist_convert(DistMatrix<TS>& A, DistMatrix<TD>& B) {
+void dist_convert(TiledMatrix<TS> const& A, TiledMatrix<TD> const& B) {
     tbp_require(A.mt() == B.mt() && A.nt() == B.nt());
     for (int j = 0; j < A.nt(); ++j) {
         for (int i = 0; i < A.mt(); ++i) {

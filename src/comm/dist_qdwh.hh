@@ -4,11 +4,11 @@
 // the message-passing counterpart of the shared-memory task solver and the
 // paper's contribution #1 in its distributed form.
 //
-// Constraints of this driver (documented, checked): m must be a tile
-// multiple so the stacked workspace's top block rows share A's tile
-// boundaries and ownership; the sigma_min lower bound l0 is supplied by the
-// caller (the shared-memory path's QR + trcondest estimate, or an
-// application bound).
+// The workspaces take their tile sizes from A's, so any m >= n and nb work:
+// the stacked [W1; W2] keeps A's block rows on top, and W1, Q1 and Q2 are
+// sub-views of the stacked matrices, exactly as in the shared-memory
+// qdwh_iter. The sigma_min lower bound l0 is supplied by the caller (the
+// shared-memory path's QR + trcondest estimate, or an application bound).
 
 #pragma once
 
@@ -43,18 +43,26 @@ struct DistQdwhInfo {
 namespace detail {
 
 /// Distributed workspaces of one QDWH iteration in one scalar type — the
-/// message-passing analogue of tbp::detail::QdwhWorkspace.
+/// message-passing analogue of tbp::detail::QdwhWorkspace, on A's tile
+/// sizes. The T factors take the widest panel, nb_0, in every block row.
 template <typename T>
 struct DistQdwhWork {
-    DistMatrix<T> Aprev, Z, W, Tm, Q;
+    TiledMatrix<T> Aprev, Z, W, Tm, Q;
 
-    DistQdwhWork(Communicator& c, std::int64_t m, std::int64_t n, int nb,
-                 Grid g)
-        : Aprev(c, m, n, nb, g),
-          Z(c, n, n, nb, g),
-          W(c, m + n, n, nb, g),
-          Tm(c, static_cast<std::int64_t>(W.mt()) * nb, n, nb, g),
-          Q(c, m + n, n, nb, g) {}
+    template <typename U>
+    explicit DistQdwhWork(TiledMatrix<U> const& A) {
+        auto const rows = A.row_tile_sizes(), cols = A.col_tile_sizes();
+        auto w_rows = rows;
+        w_rows.insert(w_rows.end(), cols.begin(), cols.end());
+        Grid const g = A.grid();
+        int const r = A.rank();
+        Aprev = TiledMatrix<T>(rows, cols, g, r);
+        Z = TiledMatrix<T>(cols, cols, g, r);
+        W = TiledMatrix<T>(w_rows, cols, g, r);
+        Tm = TiledMatrix<T>(std::vector<int>(w_rows.size(), cols[0]), cols, g,
+                            r);
+        Q = TiledMatrix<T>(w_rows, cols, g, r);
+    }
 };
 
 /// One distributed QDWH iteration (both branches): A := f_k(A) with weights
@@ -62,7 +70,7 @@ struct DistQdwhWork {
 /// the native matrices or, on a low rung, on a float shadow matrix set;
 /// `tag_base` advances by the same span on every rank and rung.
 template <typename T>
-void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
+void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, TiledMatrix<T> const& A,
                     DistQdwhWork<T>& w, double da, double db, double dcc,
                     int& tag_base) {
     using R = real_t<T>;
@@ -75,31 +83,22 @@ void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
     dist_copy(A, w.Aprev);
 
     if (dcc > 100.0) {
-        // --- QR-based iteration on the stacked matrix -----------------------
-        // W tiles in the top mt block rows share A's ownership map.
+        // --- QR-based iteration on the stacked [sqrt(c) A; I] -------------
         R const sq = std::sqrt(cc);
-        for (int j = 0; j < nt; ++j) {
-            for (int i = 0; i < w.W.mt(); ++i) {
-                if (!w.W.is_local(i, j))
-                    continue;
-                auto wt = w.W.tile(i, j);
-                if (i < mt) {
-                    blas::copy(A.tile(i, j), wt);
-                    blas::scale(from_real<T>(sq), wt);
-                } else {
-                    blas::set(T(0), (i - mt == j) ? T(1) : T(0), wt);
-                }
-            }
-        }
+        TiledMatrix<T> W1 = w.W.sub(0, 0, mt, nt);
+        TiledMatrix<T> Q1 = w.Q.sub(0, 0, mt, nt);
+        TiledMatrix<T> Q2 = w.Q.sub(mt, 0, nt, nt);
+        dist_copy(A, W1);
+        dist_scale(from_real<T>(sq), W1);
+        dist_set_identity(w.W.sub(mt, 0, nt, nt));
         dist_geqrf(c, g, w.W, w.Tm);
         dist_ungqr(c, g, w.W, w.Tm, w.Q);
 
-        // A := theta Q1 Q2^H + beta A (SUMMA over the shared column
-        // index l; Q1 = top mt block rows of Q, Q2 = the rest), over the
-        // replication layers when g3.c > 1.
+        // A := theta Q1 Q2^H + beta A (SUMMA over the shared column index
+        // l), over the replication layers when g3.c > 1.
         R const theta = (a - b / cc) / sq;
         R const beta = b / cc;
-        summa_25d(c, g3, Op::ConjTrans, from_real<T>(theta), w.Q, w.Q, mt,
+        summa_25d(c, g3, Op::ConjTrans, from_real<T>(theta), Q1, Q2,
                   from_real<T>(beta), A, tag_base);
         tag_base += summa25_tag_span(mt, nt, nt);
     } else {
@@ -115,9 +114,9 @@ void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
 
 }  // namespace detail
 
-/// Distributed QDWH: A (m x n tiles, m >= n, m % nb == 0) is overwritten by
-/// U_p. l0 is a lower bound on sigma_min(A)/sigma_max(A). Every rank
-/// returns identical info scalars; the per-iteration traffic vectors are
+/// Distributed QDWH: A (m x n, m >= n, rank-local) is overwritten by U_p.
+/// l0 is a lower bound on sigma_min(A)/sigma_max(A). Every rank returns
+/// identical info scalars; the per-iteration traffic vectors are
 /// this rank's own counts.
 ///
 /// The matrices live on g3's p x q layer grid; with g3.c > 1 the trailing
@@ -141,18 +140,15 @@ void dist_qdwh_iter(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
 /// mid-iteration rung switch would desynchronize posted receives): a
 /// non-finite iterate is a hard error.
 template <typename T>
-DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
+DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, TiledMatrix<T> const& A,
                        double l0, int max_iter = 30,
                        prec::PrecisionPolicy const& pol = {}) {
     using R = real_t<T>;
     using S = prec::shadow_t<T>;
     prec::Prec const native = prec::native_prec<T>();
-    Grid const g = g3.layer();
     tbp_require(c.size() == g3.size());
-    int const mt = A.mt();
-    int const nb = A.tile_nb(0);
+    tbp_require(A.grid().p == g3.p && A.grid().q == g3.q);
     tbp_require(A.m() >= A.n());
-    tbp_require(A.tile_mb(mt - 1) == A.tile_mb(0));  // m % nb == 0
 
     DistQdwhInfo info;
     R const eps = std::numeric_limits<R>::epsilon();
@@ -168,10 +164,7 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
         tbp_throw("dist_qdwh: A is the zero matrix");
     if (!std::isfinite(static_cast<double>(alpha)))
         tbp_throw("dist_qdwh: A has a NaN or Inf entry");
-    for (int j = 0; j < A.nt(); ++j)
-        for (int i = 0; i < mt; ++i)
-            if (A.is_local(i, j))
-                blas::scale(from_real<T>(R(1) / alpha), A.tile(i, j));
+    dist_scale(from_real<T>(R(1) / alpha), A);
 
     double li = std::min(
         std::max(l0, static_cast<double>(std::numeric_limits<R>::min())
@@ -179,16 +172,17 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
         1.0);
     auto const plan = prec::plan_rungs(li, tol1, max_iter, pol, native);
 
-    detail::DistQdwhWork<T> w(c, A.m(), A.n(), nb, g);
+    detail::DistQdwhWork<T> w(A);
 
     // Shadow iterate + workspaces, allocated on first low-rung use.
-    std::unique_ptr<DistMatrix<S>> As;
+    TiledMatrix<S> As;
     std::unique_ptr<detail::DistQdwhWork<S>> sw;
     auto ensure_shadow = [&] {
-        if (As)
+        if (sw)
             return;
-        As = std::make_unique<DistMatrix<S>>(c, A.m(), A.n(), nb, g);
-        sw = std::make_unique<detail::DistQdwhWork<S>>(c, A.m(), A.n(), nb, g);
+        As = TiledMatrix<S>(A.row_tile_sizes(), A.col_tile_sizes(), A.grid(),
+                            A.rank());
+        sw = std::make_unique<detail::DistQdwhWork<S>>(A);
     };
 
     R conv = R(100);
@@ -209,15 +203,15 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
         } else {
             ensure_shadow();
             dist_copy(A, w.Aprev);      // native entering iterate, for conv
-            dist_convert(A, *As);       // local, no messages
+            dist_convert(A, As);        // local, no messages
             {
                 // Bf16 packs gemm operands at the blas level on each rank's
                 // own thread — install the exec-side mode directly.
                 prec::ExecModeScope mode_scope(prec::gemm_mode(rung));
-                detail::dist_qdwh_iter(c, g3, *As, *sw, pw.a, pw.b, pw.c,
+                detail::dist_qdwh_iter(c, g3, As, *sw, pw.a, pw.b, pw.c,
                                        tag_base);
             }
-            dist_convert(*As, A);       // local, no messages
+            dist_convert(As, A);        // local, no messages
         }
         CommStats const s1 = c.stats();
         info.rungs.push_back(rung);
@@ -238,7 +232,8 @@ DistQdwhInfo dist_qdwh(Communicator& c, ProcGrid3d g3, DistMatrix<T>& A,
 
 /// 2D entry point: the p x q grid spans the whole communicator (c == 1).
 template <typename T>
-DistQdwhInfo dist_qdwh(Communicator& c, Grid g, DistMatrix<T>& A, double l0,
+DistQdwhInfo dist_qdwh(Communicator& c, Grid g, TiledMatrix<T> const& A,
+                       double l0,
                        int max_iter = 30,
                        prec::PrecisionPolicy const& pol = {}) {
     return dist_qdwh(c, ProcGrid3d{g.p, g.q, 1}, A, l0, max_iter, pol);

@@ -30,22 +30,18 @@ namespace detail {
 /// owner to `runner` first and shipped back after, if they differ.
 /// Both ranks (and only they) must call this.
 template <typename T, typename Fn>
-void borrow_tile(Communicator& c, DistMatrix<T>& A, int i, int j, int runner,
-                 int tag, Fn const& fn) {
-    int const owner = A.owner(i, j);
+void borrow_tile(Communicator& c, TiledMatrix<T> const& A, int i, int j,
+                 int runner, int tag, Fn const& fn) {
+    int const owner = A.owner_rank(i, j);
     if (owner == runner) {
         if (c.rank() == runner)
             fn(A.tile(i, j));
         return;
     }
     if (c.rank() == owner) {
-        detail::send_tile(c, A.tile(i, j), runner, tag);
-        auto back = detail::recv_tile<T>(c, A.tile_mb(i), A.tile_nb(j), runner,
-                                         tag + 1);
-        auto t = A.tile(i, j);
-        for (int cc = 0; cc < t.nb(); ++cc)
-            for (int rr = 0; rr < t.mb(); ++rr)
-                t(rr, cc) = back.tile()(rr, cc);
+        Tile<T> t = A.tile(i, j);
+        detail::send_tile(c, t, runner, tag);
+        c.recv(t.data(), static_cast<size_t>(t.mb()) * t.nb(), runner, tag + 1);
     } else if (c.rank() == runner) {
         auto st = detail::recv_tile<T>(c, A.tile_mb(i), A.tile_nb(j), owner, tag);
         fn(st.tile());
@@ -59,52 +55,43 @@ void borrow_tile(Communicator& c, DistMatrix<T>& A, int i, int j, int runner,
 /// in Tmat). Tmat must share A's tile layout with square nb(k)-sized tiles
 /// (allocate with tile size = A's nb; only the top nb(k) x nb(k) is used).
 template <typename T>
-void dist_geqrf(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat) {
+void dist_geqrf(Communicator& c, Grid g, TiledMatrix<T> A,
+                TiledMatrix<T> Tmat) {
     int const mt = A.mt(), nt = A.nt();
     int const kt = std::min(mt, nt);
+    tbp_require(Tmat.mt() == mt && Tmat.nt() == nt);
     int tag = 1 << 24;
 
     for (int k = 0; k < kt; ++k) {
         int const nbk = A.tile_nb(k);
 
         // -- geqrt on the diagonal tile --------------------------------------
-        if (A.is_local(k, k) && Tmat.is_local(k, k)) {
+        if (A.is_local(k, k)) {
             auto tt = Tmat.tile(k, k).sub(0, 0, nbk, nbk);
             blas::geqrt(A.tile(k, k), tt);
-        } else if (A.owner(k, k) != Tmat.owner(k, k)) {
-            // Tmat shares A's map by construction; guarded for safety.
-            tbp_require(false);
         }
 
         // Broadcast V(k,k) + T(k,k) along process row k for the updates.
         auto rk = row_group(g, k);
-        detail::Staged<T> vkk, tkk;
-        {
-            bool const need = in_group(rk, c.rank());
-            if (need || A.owner(k, k) == c.rank()) {
-                auto s = stage_tile(c, A, k, k, rk, tag);
-                if (need)
-                    vkk = std::move(s);
-                auto s2 = stage_tile(c, Tmat, k, k, rk, tag + 1);
-                if (need)
-                    tkk = std::move(s2);
-            }
-            tag += 2;
-        }
+        auto vkk = stage(c, A, k, k, rk, tag);
+        auto tkk = stage(c, Tmat, k, k, rk, tag + 1);
+        vkk.ready();
+        tkk.ready();
+        tag += 2;
         for (int j = k + 1; j < nt; ++j) {
             if (A.is_local(k, j)) {
-                int const kk = std::min(vkk.mb, nbk);
-                auto tt = tkk.tile().sub(0, 0, kk, kk);
-                blas::unmqr(Op::ConjTrans, vkk.tile(), tt, A.tile(k, j));
+                int const kk = std::min(vkk.view.mb(), nbk);
+                blas::unmqr(Op::ConjTrans, vkk.view, tkk.view.sub(0, 0, kk, kk),
+                            A.tile(k, j));
             }
         }
 
         // -- TS chain down the panel ----------------------------------------
         for (int i = k + 1; i < mt; ++i) {
             // tsqrt runs at owner(i, k); the R tile (k, k) is borrowed there.
-            int const runner = A.owner(i, k);
+            int const runner = A.owner_rank(i, k);
             bool const involved =
-                c.rank() == runner || c.rank() == A.owner(k, k);
+                c.rank() == runner || c.rank() == A.owner_rank(k, k);
             if (involved) {
                 detail::borrow_tile(c, A, k, k, runner, tag, [&](Tile<T> r1) {
                     auto tt = Tmat.tile(i, k).sub(0, 0, nbk, nbk);
@@ -115,36 +102,26 @@ void dist_geqrf(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat) 
 
             // Broadcast V2 = A(i,k) and T(i,k) to the union of process rows
             // k and i (both sides of every tsmqr pair need them).
-            auto gi = row_group(g, i);
-            auto gk = row_group(g, k);
-            std::vector<int> grp = gi;
-            for (int r : gk)
+            std::vector<int> grp = row_group(g, i);
+            for (int r : rk)
                 if (!in_group(grp, r))
                     grp.push_back(r);
-            detail::Staged<T> v2, ti;
-            {
-                bool const need = in_group(grp, c.rank());
-                if (need || A.owner(i, k) == c.rank()) {
-                    auto s = stage_tile(c, A, i, k, grp, tag);
-                    if (need)
-                        v2 = std::move(s);
-                    auto s2 = stage_tile(c, Tmat, i, k, grp, tag + 1);
-                    if (need)
-                        ti = std::move(s2);
-                }
-                tag += 2;
-            }
+            auto v2 = stage(c, A, i, k, grp, tag);
+            auto ti = stage(c, Tmat, i, k, grp, tag + 1);
+            v2.ready();
+            ti.ready();
+            tag += 2;
 
             // Pairwise updates: tile (k, j) borrowed to owner(i, j).
             for (int j = k + 1; j < nt; ++j) {
-                int const runner2 = A.owner(i, j);
+                int const runner2 = A.owner_rank(i, j);
                 bool const involved2 =
-                    c.rank() == runner2 || c.rank() == A.owner(k, j);
+                    c.rank() == runner2 || c.rank() == A.owner_rank(k, j);
                 if (involved2) {
                     detail::borrow_tile(
                         c, A, k, j, runner2, tag, [&](Tile<T> c1) {
-                            auto tt = ti.tile().sub(0, 0, nbk, nbk);
-                            blas::tsmqr(Op::ConjTrans, v2.tile(), tt, c1,
+                            blas::tsmqr(Op::ConjTrans, v2.view,
+                                        ti.view.sub(0, 0, nbk, nbk), c1,
                                         A.tile(i, j));
                         });
                 }
@@ -157,8 +134,8 @@ void dist_geqrf(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat) 
 /// Form Q (A.m x A.n) explicitly from a dist_geqrf-factored A: the reverse
 /// reflector sweep applied to [I; 0]. Q must share A's layout.
 template <typename T>
-void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
-                DistMatrix<T>& Q) {
+void dist_ungqr(Communicator& c, Grid g, TiledMatrix<T> A, TiledMatrix<T> Tmat,
+                TiledMatrix<T> Q) {
     int const mt = A.mt(), nt = std::min(A.mt(), A.nt());
     tbp_require(Q.mt() == mt && Q.nt() == A.nt());
     dist_set_identity(Q);
@@ -187,7 +164,9 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
 
     // A and Tmat are read-only below (only Q is written), so entry e+1's
     // V/T broadcast legally overlaps entry e's reflector applications.
-    using VT = std::pair<detail::PendingStage<T>, detail::PendingStage<T>>;
+    struct VT {
+        detail::PendingStage<T> v, t;
+    };
     auto stage_entry = [&](int e) {
         Entry const& en = sched[static_cast<std::size_t>(e)];
         std::vector<int> grp = row_group(g, en.k);
@@ -198,18 +177,8 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
                     gi.push_back(r);
             grp = std::move(gi);
         }
-        VT vt;
-        bool const need = in_group(grp, c.rank());
-        if (need || A.owner(en.i, en.k) == c.rank()) {
-            auto p = stage_tile_begin(c, A, en.i, en.k, grp, en.stage_tag);
-            auto p2 =
-                stage_tile_begin(c, Tmat, en.i, en.k, grp, en.stage_tag + 1);
-            if (need) {
-                vt.first = std::move(p);
-                vt.second = std::move(p2);
-            }
-        }
-        return vt;
+        return VT{stage(c, A, en.i, en.k, grp, en.stage_tag),
+                  stage(c, Tmat, en.i, en.k, grp, en.stage_tag + 1)};
     };
 
     detail::pipelined_steps(
@@ -219,16 +188,14 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
             if (en.i != en.k) {
                 int btag = en.borrow_tag;
                 for (int j = en.k; j < Q.nt(); ++j) {
-                    int const runner = Q.owner(en.i, j);
+                    int const runner = Q.owner_rank(en.i, j);
                     bool const involved =
-                        c.rank() == runner || c.rank() == Q.owner(en.k, j);
+                        c.rank() == runner || c.rank() == Q.owner_rank(en.k, j);
                     if (involved) {
                         detail::borrow_tile(
                             c, Q, en.k, j, runner, btag, [&](Tile<T> c1) {
-                                auto tt = cur.second.ready().tile().sub(
-                                    0, 0, nbk, nbk);
-                                blas::tsmqr(Op::NoTrans,
-                                            cur.first.ready().tile(), tt, c1,
+                                auto tt = cur.t.ready().sub(0, 0, nbk, nbk);
+                                blas::tsmqr(Op::NoTrans, cur.v.ready(), tt, c1,
                                             Q.tile(en.i, j));
                             });
                     }
@@ -237,9 +204,9 @@ void dist_ungqr(Communicator& c, Grid g, DistMatrix<T>& A, DistMatrix<T>& Tmat,
             } else {
                 for (int j = en.k; j < Q.nt(); ++j) {
                     if (Q.is_local(en.k, j)) {
-                        int const kk = std::min(cur.first.ready().mb, nbk);
-                        auto tt = cur.second.ready().tile().sub(0, 0, kk, kk);
-                        blas::unmqr(Op::NoTrans, cur.first.ready().tile(), tt,
+                        int const kk = std::min(cur.v.ready().mb(), nbk);
+                        auto tt = cur.t.ready().sub(0, 0, kk, kk);
+                        blas::unmqr(Op::NoTrans, cur.v.ready(), tt,
                                     Q.tile(en.k, j));
                     }
                 }

@@ -63,23 +63,23 @@ inline int summa25_tag_span(int mt, int nt, int kt) {
     return kt * (2 * (mt + nt) + mt * nt);
 }
 
-/// SUMMA: C := alpha MA(:,0:kt) op(B) + beta C on the g3 layer grid,
-/// with op(B) tiles taken as MB(l, j) (NoTrans) or MB(b_row_off + j, l)^H
-/// (ConjTrans — the dqdwh trailing-update shape, where MA == MB == Q).
-/// Collective over all g3.size() ranks; matrices are distributed on
-/// g3.layer() so only layer-0 ranks own tiles.
+/// SUMMA: C := alpha MA op(MB) + beta C on the g3 layer grid, with op(MB)
+/// tiles taken as MB(l, j) (NoTrans) or MB(j, l)^H (ConjTrans — the dqdwh
+/// trailing update Q1 Q2^H, where MA and MB are sub-views of one Q and keep
+/// its ownership). Collective over all g3.size() ranks; matrices are
+/// distributed on g3.layer() so only layer-0 ranks own tiles.
 template <typename T>
 void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
-               DistMatrix<T>& MA, DistMatrix<T>& MB, int b_row_off, T beta,
-               DistMatrix<T>& C, int tag_base = 1 << 24) {
+               TiledMatrix<T> MA, TiledMatrix<T> MB, T beta, TiledMatrix<T> C,
+               int tag_base = 1 << 24) {
     Grid const g = g3.layer();
     int const mt = C.mt(), nt = C.nt(), kt = MA.nt();
     tbp_require(c.size() == g3.size());
-    tbp_require(MA.mt() >= mt);
+    tbp_require(MA.mt() == mt);
     if (opB == Op::NoTrans)
-        tbp_require(b_row_off == 0 && MB.mt() == kt && MB.nt() == nt);
+        tbp_require(MB.mt() == kt && MB.nt() == nt);
     else
-        tbp_require(MB.nt() == kt && b_row_off + nt <= MB.mt());
+        tbp_require(MB.nt() == kt && MB.mt() == nt);
 
     bool const exact = c.coll_config().deterministic;
     int const my = c.rank();
@@ -89,7 +89,7 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
     auto a_coord = [&](int i, int l) { return std::pair<int, int>(i, l); };
     auto b_coord = [&](int l, int j) {
         return opB == Op::NoTrans ? std::pair<int, int>(l, j)
-                                  : std::pair<int, int>(b_row_off + j, l);
+                                  : std::pair<int, int>(j, l);
     };
 
     // Stage tags first, so at c == 1 the tag stream is the plain 2D SUMMA's
@@ -120,6 +120,14 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
     int const my_lo = g3.step_lo(my_layer, kt);
     int const my_hi = g3.step_hi(my_layer, kt);
 
+    // Operand tile rc of M up the replication fiber, from its layer-0 owner
+    // to that owner's mate on layer `lay`.
+    auto fiber = [&](TiledMatrix<T> const& M, std::pair<int, int> rc, int lay,
+                     int tag) {
+        int const hold = M.owner_rank(rc.first, rc.second);
+        return stage(c, M, rc.first, rc.second, {g3.global(lay, hold)}, tag);
+    };
+
     // Fiber replication: layer-0 owners push every remote step's operand
     // tiles to their layer mates up front (buffered sends), so the remote
     // layers' step loops never wait on layer 0's step progress.
@@ -128,86 +136,61 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
             int const lay = g3.layer_of_step(l, kt);
             if (lay == 0)
                 continue;
-            for (int i = 0; i < mt; ++i) {
-                auto ac = a_coord(i, l);
-                if (MA.owner(ac.first, ac.second) == my)
-                    detail::send_tile(c, MA.tile(ac.first, ac.second),
-                                      g3.global(lay, my_lr), fiber_a_tag(l, i));
-            }
-            for (int j = 0; j < nt; ++j) {
-                auto bc = b_coord(l, j);
-                if (MB.owner(bc.first, bc.second) == my)
-                    detail::send_tile(c, MB.tile(bc.first, bc.second),
-                                      g3.global(lay, my_lr), fiber_b_tag(l, j));
-            }
+            for (int i = 0; i < mt; ++i)
+                fiber(MA, a_coord(i, l), lay, fiber_a_tag(l, i));
+            for (int j = 0; j < nt; ++j)
+                fiber(MB, b_coord(l, j), lay, fiber_b_tag(l, j));
         }
     }
 
+    // Step l's panels: the A column panel along process rows and the op(B)
+    // panel along process columns of this rank's layer. The holder of an
+    // operand tile is its layer-0 owner or, on a remote layer, that owner's
+    // fiber mate with the replica.
+    using Panel = std::vector<detail::PendingStage<T>>;
+    struct Step {
+        Panel arep, brep;  // fiber replicas (remote layers)
+        Panel a, b;
+    };
+    auto layer_stage = [&](TiledMatrix<T> const& M, std::pair<int, int> rc,
+                           detail::PendingStage<T>& rep,
+                           std::vector<int> grp, int tag) {
+        for (int& r : grp)
+            r = g3.global(my_layer, r);
+        Tile<T> const src = rep.view.data()
+                                ? rep.ready()
+                                : detail::tile_or_shape(M, rc.first, rc.second);
+        int const hold = M.owner_rank(rc.first, rc.second);
+        return stage(c, src, g3.global(my_layer, hold), grp, tag);
+    };
+    auto stage_step = [&](int l) {
+        Step st{Panel(mt), Panel(nt), Panel(mt), Panel(nt)};
+        if (my_layer > 0) {
+            for (int i = 0; i < mt; ++i)
+                st.arep[i] =
+                    fiber(MA, a_coord(i, l), my_layer, fiber_a_tag(l, i));
+            for (int j = 0; j < nt; ++j)
+                st.brep[j] =
+                    fiber(MB, b_coord(l, j), my_layer, fiber_b_tag(l, j));
+        }
+        for (int i = 0; i < mt; ++i)
+            st.a[i] = layer_stage(MA, a_coord(i, l), st.arep[i],
+                                  row_group(g, i), stage_a_tag(l, i));
+        for (int j = 0; j < nt; ++j)
+            st.b[j] = layer_stage(MB, b_coord(l, j), st.brep[j],
+                                  col_group(g, j), stage_b_tag(l, j));
+        return st;
+    };
+
     if (my_layer > 0 && my_lo < my_hi) {
-        // Remote layer: receive fiber replicas, re-stage them across this
-        // layer, compute this layer's block of the steps.
+        // Remote layer: compute this layer's block of the steps and ship the
+        // C contributions down the fiber.
         std::map<std::pair<int, int>, detail::Staged<T>> part;
         for (int l = my_lo; l < my_hi; ++l) {
-            std::map<int, detail::Staged<T>> arep, brep;
-            for (int i = 0; i < mt; ++i) {
-                auto ac = a_coord(i, l);
-                if (MA.owner(ac.first, ac.second) == my_lr)
-                    arep[i] = detail::recv_tile<T>(
-                        c, MA.tile_mb(ac.first), MA.tile_nb(ac.second), my_lr,
-                        fiber_a_tag(l, i));
-            }
-            for (int j = 0; j < nt; ++j) {
-                auto bc = b_coord(l, j);
-                if (MB.owner(bc.first, bc.second) == my_lr)
-                    brep[j] = detail::recv_tile<T>(
-                        c, MB.tile_mb(bc.first), MB.tile_nb(bc.second), my_lr,
-                        fiber_b_tag(l, j));
-            }
-
-            // Within-layer staging, owner's fiber mate acting as the owner.
-            std::map<int, detail::Staged<T>> a_st, b_st;
-            for (int i = 0; i < mt; ++i) {
-                auto ac = a_coord(i, l);
-                int const hold = MA.owner(ac.first, ac.second);
-                auto grp = row_group(g, i);
-                bool const need = in_group(grp, my_lr);
-                if (my_lr == hold) {
-                    auto t = arep[i].tile();
-                    for (int r : grp)
-                        if (r != hold)
-                            detail::send_tile(c, t, g3.global(my_layer, r),
-                                              stage_a_tag(l, i));
-                    if (need)
-                        a_st[i] = std::move(arep[i]);
-                } else if (need) {
-                    a_st[i] = detail::recv_tile<T>(
-                        c, MA.tile_mb(ac.first), MA.tile_nb(ac.second),
-                        g3.global(my_layer, hold), stage_a_tag(l, i));
-                }
-            }
-            for (int j = 0; j < nt; ++j) {
-                auto bc = b_coord(l, j);
-                int const hold = MB.owner(bc.first, bc.second);
-                auto grp = col_group(g, j);
-                bool const need = in_group(grp, my_lr);
-                if (my_lr == hold) {
-                    auto t = brep[j].tile();
-                    for (int r : grp)
-                        if (r != hold)
-                            detail::send_tile(c, t, g3.global(my_layer, r),
-                                              stage_b_tag(l, j));
-                    if (need)
-                        b_st[j] = std::move(brep[j]);
-                } else if (need) {
-                    b_st[j] = detail::recv_tile<T>(
-                        c, MB.tile_mb(bc.first), MB.tile_nb(bc.second),
-                        g3.global(my_layer, hold), stage_b_tag(l, j));
-                }
-            }
-
+            Step st = stage_step(l);
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i) {
-                    if (C.owner(i, j) != my_lr)
+                    if (C.owner_rank(i, j) != my_lr)
                         continue;
                     if (exact) {
                         std::vector<T> zb(static_cast<size_t>(C.tile_mb(i))
@@ -215,7 +198,7 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
                         Tile<T> z(zb.data(), C.tile_mb(i), C.tile_nb(j),
                                   C.tile_mb(i));
                         la::summa_step_product(Op::NoTrans, opB, alpha,
-                                               a_st[i].tile(), b_st[j].tile(),
+                                               st.a[i].ready(), st.b[j].ready(),
                                                z);
                         c.send(zb, my_lr, reduce_tag(l, i, j));
                     } else {
@@ -227,8 +210,8 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
                                 static_cast<size_t>(pt.mb) * pt.nb, T(0));
                         }
                         la::summa_step_accumulate(Op::NoTrans, opB, alpha,
-                                                  a_st[i].tile(),
-                                                  b_st[j].tile(), pt.tile());
+                                                  st.a[i].ready(),
+                                                  st.b[j].ready(), pt.tile());
                     }
                 }
         }
@@ -239,45 +222,15 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
     }
 
     if (my_layer == 0) {
-        // Own steps: stage the A column panel along process rows and the
-        // op(B) panel along process columns, fold locally. MA and MB are
-        // read-only here, so the pipeline may run a step ahead.
-        struct Step {
-            std::map<int, detail::PendingStage<T>> a, b;
-        };
-        auto stage_step = [&](int l) {
-            Step st;
-            for (int i = 0; i < mt; ++i) {
-                auto ac = a_coord(i, l);
-                auto grp = row_group(g, i);
-                bool const need = in_group(grp, my);
-                if (need || MA.owner(ac.first, ac.second) == my) {
-                    auto p = stage_tile_begin(c, MA, ac.first, ac.second, grp,
-                                              stage_a_tag(l, i));
-                    if (need)
-                        st.a[i] = std::move(p);
-                }
-            }
-            for (int j = 0; j < nt; ++j) {
-                auto bc = b_coord(l, j);
-                auto grp = col_group(g, j);
-                bool const need = in_group(grp, my);
-                if (need || MB.owner(bc.first, bc.second) == my) {
-                    auto p = stage_tile_begin(c, MB, bc.first, bc.second, grp,
-                                              stage_b_tag(l, j));
-                    if (need)
-                        st.b[j] = std::move(p);
-                }
-            }
-            return st;
-        };
+        // Own steps, folded locally. MA and MB are read-only here, so the
+        // pipeline may run a step ahead.
         detail::pipelined_steps(my_hi, stage_step, [&](int, Step& st) {
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i)
                     if (C.is_local(i, j))
                         la::summa_step_accumulate(
-                            Op::NoTrans, opB, alpha, st.a[i].ready().tile(),
-                            st.b[j].ready().tile(), C.tile(i, j));
+                            Op::NoTrans, opB, alpha, st.a[i].ready(),
+                            st.b[j].ready(), C.tile(i, j));
         });
         if (exact) {
             // Remote steps follow layer 0's block: fold the shipped product
@@ -311,18 +264,6 @@ void summa_25d(Communicator& c, ProcGrid3d g3, Op opB, T alpha,
             }
         }
     }
-}
-
-/// SUMMA gemm: C := alpha A B + beta C (all NoTrans, conforming
-/// block-cyclic distributions on g3's layer grid), the shape
-/// perf::summa_volume models and perf::choose_summa_plan costs. The plain
-/// 2D SUMMA is g3 = ProcGrid3d{p, q, 1}.
-template <typename T>
-void dist_gemm(Communicator& c, ProcGrid3d g3, T alpha, DistMatrix<T>& A,
-               DistMatrix<T>& B, T beta, DistMatrix<T>& C,
-               int tag_base = 1 << 24) {
-    tbp_require(A.mt() == C.mt());
-    summa_25d(c, g3, Op::NoTrans, alpha, A, B, 0, beta, C, tag_base);
 }
 
 }  // namespace tbp::comm

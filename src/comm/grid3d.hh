@@ -2,8 +2,8 @@
 //
 // The c "replication layers" each hold a p x q 2D grid; ranks are mapped
 // layer-major, so global rank r lives on layer r / (p*q) at layer rank
-// r % (p*q). Layer 0 owns every DistMatrix tile (the matrices are built on
-// the p x q layer grid, which is allowed to be smaller than the
+// r % (p*q). Layer 0 owns every tile of the rank-local matrices (they are
+// built on the p x q layer grid, which is allowed to be smaller than the
 // communicator); layers 1..c-1 hold transient operand replicas and compute
 // a 1/c share of the SUMMA interior steps, shipping their C contributions
 // back down the "fiber" — the set of ranks {l*p*q + x : l < c} that share
@@ -32,6 +32,17 @@ inline char const* comm_plan_name(CommPlan p) {
         case CommPlan::Grid25d: return "2.5d";
     }
     return "?";
+}
+
+/// Near-square p x q grid of P ranks: p is the largest divisor of P not
+/// above sqrt(P) (4 -> 2x2, 8 -> 2x4, 7 -> 1x7).
+inline Grid near_square_grid(int P) {
+    tbp_require(P >= 1);
+    int p = 1;
+    for (int d = 1; d * d <= P; ++d)
+        if (P % d == 0)
+            p = d;
+    return Grid{p, P / p};
 }
 
 /// p x q x c processor grid. c == 1 degenerates to the plain 2D grid.

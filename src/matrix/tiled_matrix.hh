@@ -8,16 +8,19 @@
 // row/column, which lets the (m+n)-by-n stacked QDWH workspace keep A's tile
 // boundaries in its top block rows even when m % nb != 0.
 //
-// The ownership map (owner_rank) is advisory on this shared-memory build:
-// the task runtime executes tiles in place and no library code reads the
-// map. Distributed execution uses comm::DistMatrix, whose own block-cyclic
-// map the src/comm/ virtual-rank kernels exercise for real.
-
+// One class, two storage modes. Built without a rank, a matrix stores every
+// tile and the task runtime executes them in place. Built for a rank (the
+// SPMD kernels of src/comm/), it stores only the tiles owner_rank assigns
+// to that rank — its localRowsCols(m) x localRowsCols(n) share,
+// ScaLAPACK's numroc — and tile() of any other tile throws tbp::Error.
+// Sub-views keep the parent's owner map in both modes.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/aligned.hh"
@@ -40,16 +43,19 @@ public:
     TiledMatrix() = default;
 
     /// Uniform tiling: tiles of nb-by-nb except the last block row/column.
-    TiledMatrix(std::int64_t m, std::int64_t n, int nb, Grid grid = {})
-        : TiledMatrix(chop(m, nb), chop(n, nb), grid) {}
+    /// `rank` >= 0 stores only that rank's tiles; -1 stores all of them.
+    TiledMatrix(std::int64_t m, std::int64_t n, int nb, Grid grid = {},
+                int rank = -1)
+        : TiledMatrix(chop(m, nb), chop(n, nb), grid, rank) {}
 
     /// Explicit tile sizes per block row and block column.
     TiledMatrix(std::vector<int> row_sizes, std::vector<int> col_sizes,
-                Grid grid = {}) {
+                Grid grid = {}, int rank = -1) {
         s_ = std::make_shared<Storage>();
         s_->rb = std::move(row_sizes);
         s_->cb = std::move(col_sizes);
         s_->grid = grid;
+        s_->rank = rank;
         s_->mt = static_cast<int>(s_->rb.size());
         s_->nt = static_cast<int>(s_->cb.size());
         s_->row_off.resize(s_->mt + 1, 0);
@@ -62,23 +68,25 @@ public:
             tbp_require(s_->cb[j] > 0);
             s_->col_off[j + 1] = s_->col_off[j] + s_->cb[j];
         }
-        // Each tile slot is rounded up to a whole number of cache lines so
-        // every tile origin is 64-byte aligned (the allocator aligns the
-        // base), keeping packed-kernel loads and stores off split lines.
+        mt_ = s_->mt;
+        nt_ = s_->nt;
+        // Each stored tile slot is rounded up to a whole number of cache
+        // lines so every tile origin is 64-byte aligned (the allocator
+        // aligns the base), keeping packed-kernel loads and stores off split
+        // lines. Tiles of other ranks get no slot.
         constexpr size_t align_elems = kCacheLineBytes / sizeof(T);
-        s_->tile_offset.resize(static_cast<size_t>(s_->mt) * s_->nt + 1, 0);
+        s_->tile_offset.assign(static_cast<size_t>(s_->mt) * s_->nt, kRemote);
         size_t off = 0;
         for (int j = 0; j < s_->nt; ++j) {
             for (int i = 0; i < s_->mt; ++i) {
+                if (!is_local(i, j))
+                    continue;
                 s_->tile_offset[idx(i, j)] = off;
                 off += round_up(static_cast<size_t>(s_->rb[i]) * s_->cb[j],
                                 align_elems);
             }
         }
-        s_->tile_offset.back() = off;
         s_->data.assign(off, T(0));
-        mt_ = s_->mt;
-        nt_ = s_->nt;
     }
 
     bool empty() const { return s_ == nullptr || mt_ == 0 || nt_ == 0; }
@@ -97,18 +105,25 @@ public:
 
     Grid grid() const { return s_->grid; }
 
+    /// The rank whose tiles this matrix stores; -1 when it stores all.
+    int rank() const { return s_->rank; }
+
     /// Block-cyclic owner rank of tile (i, j) — indices global to storage so
     /// that sub-views keep the parent's ownership.
     int owner_rank(int i, int j) const {
         return ((i0_ + i) % s_->grid.p) * s_->grid.q + (j0_ + j) % s_->grid.q;
     }
 
-    /// Tile view (i, j) within this matrix view.
+    /// Whether tile (i, j) has storage here.
+    bool is_local(int i, int j) const {
+        return s_->rank < 0 || owner_rank(i, j) == s_->rank;
+    }
+
+    /// Tile view (i, j) within this matrix view; throws for a tile another
+    /// rank owns.
     Tile<T> tile(int i, int j) const {
         tbp_require(0 <= i && i < mt_ && 0 <= j && j < nt_);
-        int const gi = i0_ + i, gj = j0_ + j;
-        return Tile<T>(s_->data.data() + s_->tile_offset[idx(gi, gj)],
-                       s_->rb[gi], s_->cb[gj], s_->rb[gi]);
+        return stored(i0_ + i, j0_ + j);
     }
 
     Tile<T> operator()(int i, int j) const { return tile(i, j); }
@@ -138,20 +153,32 @@ public:
         std::int64_t const gj = j + s_->col_off[j0_];
         int const ti = find_block(s_->row_off, gi);
         int const tj = find_block(s_->col_off, gj);
-        Tile<T> t(s_->data.data() + s_->tile_offset[idx(ti, tj)],
-                  s_->rb[ti], s_->cb[tj], s_->rb[ti]);
-        return t(static_cast<int>(gi - s_->row_off[ti]),
-                 static_cast<int>(gj - s_->col_off[tj]));
+        return stored(ti, tj)(static_cast<int>(gi - s_->row_off[ti]),
+                              static_cast<int>(gj - s_->col_off[tj]));
     }
 
-    /// Deep copy with identical tiling, grid and contents.
-    TiledMatrix clone() const {
-        std::vector<int> rb(mt_), cb(nt_);
-        for (int i = 0; i < mt_; ++i)
-            rb[i] = tile_mb(i);
+    /// Set every stored element of this view from f(row, col), with (row,
+    /// col) the element's position in the view.
+    template <typename F>
+    void fill(F const& f) const {
         for (int j = 0; j < nt_; ++j)
-            cb[j] = tile_nb(j);
-        TiledMatrix out(rb, cb, s_->grid);
+            for (int i = 0; i < mt_; ++i) {
+                if (!is_local(i, j))
+                    continue;
+                Tile<T> t = tile(i, j);
+                std::int64_t const r0 = s_->row_off[i0_ + i] - s_->row_off[i0_];
+                std::int64_t const c0 = s_->col_off[j0_ + j] - s_->col_off[j0_];
+                for (int c = 0; c < t.nb(); ++c)
+                    for (int r = 0; r < t.mb(); ++r)
+                        t(r, c) = f(r0 + r, c0 + c);
+            }
+    }
+
+    /// Deep copy with identical tiling, grid and contents (every tile stored:
+    /// a rank-local view need not start on a grid boundary).
+    TiledMatrix clone() const {
+        tbp_require(s_->rank < 0);
+        TiledMatrix out(row_tile_sizes(), col_tile_sizes(), s_->grid);
         for (int j = 0; j < nt_; ++j)
             for (int i = 0; i < mt_; ++i) {
                 Tile<T> src = tile(i, j), dst = out.tile(i, j);
@@ -185,17 +212,33 @@ public:
     }
 
 private:
+    static constexpr size_t kRemote = std::numeric_limits<size_t>::max();
+
     struct Storage {
-        aligned_vector<T> data;
-        std::vector<size_t> tile_offset;  // column-major over (i, j)
+        aligned_vector<T> data;           // stored tiles only
+        std::vector<size_t> tile_offset;  // column-major over (i, j); kRemote
+                                          // for a tile another rank owns
         std::vector<int> rb, cb;
         std::vector<std::int64_t> row_off, col_off;
         int mt = 0, nt = 0;
         Grid grid;
+        int rank = -1;
     };
 
     size_t idx(int i, int j) const {
         return static_cast<size_t>(i) + static_cast<size_t>(j) * s_->mt;
+    }
+
+    /// Tile (gi, gj) in storage indices.
+    Tile<T> stored(int gi, int gj) const {
+        size_t const off = s_->tile_offset[idx(gi, gj)];
+        if (off == kRemote)
+            tbp_throw("TiledMatrix: tile (" + std::to_string(gi) + ", "
+                      + std::to_string(gj) + ") belongs to rank "
+                      + std::to_string(owner_rank(gi - i0_, gj - j0_))
+                      + ", not rank " + std::to_string(s_->rank));
+        return Tile<T>(s_->data.data() + off, s_->rb[gi], s_->cb[gj],
+                       s_->rb[gi]);
     }
 
     static int find_block(std::vector<std::int64_t> const& off, std::int64_t x) {

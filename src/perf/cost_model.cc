@@ -211,16 +211,6 @@ std::vector<int> chop_dim(std::int64_t n, int nb) {
     return out;
 }
 
-/// Largest divisor of n that is <= sqrt(n) — the near-square grid rule the
-/// driver and choose_summa_plan share.
-int near_square_p(int n) {
-    int best = 1;
-    for (int d = 1; d * d <= n; ++d)
-        if (n % d == 0)
-            best = d;
-    return best;
-}
-
 }  // namespace
 
 SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
@@ -310,8 +300,8 @@ SummaPlan choose_summa_plan(int P, std::int64_t m, std::int64_t n,
         if (P % c != 0)
             continue;
         int const L = P / c;
-        int const p0 = near_square_p(L);
-        int const q0 = L / p0;
+        Grid const g0 = comm::near_square_grid(L);
+        int const p0 = g0.p, q0 = g0.q;
         // The c == 1 candidate (plain 2D SUMMA) is pinned to the canonical
         // near-square grid — the grid tbp_driver runs at c == 1 and the
         // baseline vol2d reports. Replicated layer grids additionally try the

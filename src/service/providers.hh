@@ -64,11 +64,10 @@ inline Status validate(JobSpec const& spec) {
         return Status::InvalidArgument;
     }
     if (spec.kind == JobKind::DistQdwh) {
-        // The distributed driver requires tile-aligned rows; the l0 bound
-        // comes from 1/cond, so the condition target must be >= 1. Ranks
-        // are virtual threads — cap them so a typo can't fork 10^6 threads.
-        if (spec.m % spec.nb != 0 || spec.cond < 1 || spec.ranks < 0
-            || spec.ranks > 64)
+        // The l0 bound comes from 1/cond, so the condition target must be
+        // >= 1. Ranks are virtual threads — cap them so a typo can't fork
+        // 10^6 threads.
+        if (spec.cond < 1 || spec.ranks < 0 || spec.ranks > 64)
             return Status::InvalidArgument;
     }
     return Status::Ok;
@@ -190,23 +189,13 @@ void run_geqrf(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
     stage_dense(ws, Workspace::OutH, A);  // reflectors + R for the oracle
 }
 
-/// Near-square process grid for P virtual ranks: the largest divisor
-/// d <= sqrt(P) gives a d x (P/d) grid (4 -> 2x2, 8 -> 2x4, 7 -> 1x7).
-inline Grid dist_grid(int nranks) {
-    int d = 1;
-    for (int k = 1; k * k <= nranks; ++k)
-        if (nranks % k == 0)
-            d = k;
-    return Grid{d, nranks / d};
-}
-
 template <typename T>
 void run_dist_qdwh(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
                    JobResult& res) {
     using R = real_t<T>;
     double const flops0 = eng.flops_executed();
     int const P = spec.ranks > 0 ? spec.ranks : 4;
-    Grid const grid = dist_grid(P);
+    Grid const grid = comm::near_square_grid(P);
     int const max_iter = spec.max_iter > 0 ? spec.max_iter : 30;
 
     // Same reproducible input the local Qdwh provider would generate for

@@ -5,8 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
-#include <numeric>
 
 #include "comm/communicator.hh"
 #include "comm/dist.hh"
@@ -492,20 +492,75 @@ TEST(CommColl, StatsMatchCostModelPrediction) {
 }
 
 TEST(CommDist, BlockCyclicOwnershipPartitions) {
-    comm::World world(4);
-    std::vector<int> owned(4, 0);
+    // Rank-local storage on a 2x3 grid with ragged last block row and
+    // column: each rank stores exactly its block-cyclic share and nothing
+    // else, and sub-views keep the parent's owner map.
+    int const m = 22, n = 17, nb = 4;
+    Grid const g{2, 3};
+    // ScaLAPACK's numroc (SLATE's localRowsCols): the elements of a
+    // length-len dimension, dealt in nb blocks over procs ranks, that land
+    // on rank coordinate coord.
+    auto local_rows_cols = [](std::int64_t len, int coord, int procs) {
+        std::int64_t out = 0;
+        for (std::int64_t off = 0, b = 0; off < len; off += nb, ++b)
+            if (b % procs == coord)
+                out += std::min<std::int64_t>(nb, len - off);
+        return out;
+    };
+    comm::World world(g.size());
+    std::vector<int> owned(static_cast<size_t>(g.size()), 0);
     world.run([&](comm::Communicator& c) {
-        comm::DistMatrix<double> A(c, 20, 20, 4, Grid{2, 2});
+        int const r = c.rank();
+        comm::DistMatrix<double> A(c, m, n, nb, g);
+        std::int64_t elems = 0;
         int count = 0;
         for (int j = 0; j < A.nt(); ++j)
-            for (int i = 0; i < A.mt(); ++i)
-                if (A.is_local(i, j))
+            for (int i = 0; i < A.mt(); ++i) {
+                EXPECT_EQ(A.is_local(i, j), A.owner_rank(i, j) == r);
+                if (A.is_local(i, j)) {
                     ++count;
-        owned[static_cast<size_t>(c.rank())] = count;
+                    elems += A.tile(i, j).mb() * A.tile(i, j).nb();
+                } else {
+                    EXPECT_THROW(A.tile(i, j), tbp::Error) << i << "," << j;
+                }
+            }
+        EXPECT_EQ(elems, local_rows_cols(m, r / g.q, g.p)
+                             * local_rows_cols(n, r % g.q, g.q))
+            << r;
+        owned[static_cast<size_t>(r)] = count;
+
+        auto S = A.sub(1, 2, A.mt() - 1, A.nt() - 2);
+        for (int j = 0; j < S.nt(); ++j)
+            for (int i = 0; i < S.mt(); ++i) {
+                EXPECT_EQ(S.owner_rank(i, j), A.owner_rank(i + 1, j + 2));
+                ASSERT_EQ(S.is_local(i, j), A.is_local(i + 1, j + 2));
+                if (S.is_local(i, j)) {
+                    EXPECT_EQ(S.tile(i, j).data(), A.tile(i + 1, j + 2).data());
+                }
+            }
+
+        // fill asks only for elements of local tiles, and sets all of them.
+        std::int64_t asked = 0;
+        A.fill([&](std::int64_t i, std::int64_t j) {
+            ++asked;
+            EXPECT_TRUE(A.is_local(static_cast<int>(i / nb),
+                                   static_cast<int>(j / nb)))
+                << i << "," << j;
+            return static_cast<double>(i + 100 * j);
+        });
+        EXPECT_EQ(asked, elems);
+        for (int j = 0; j < A.nt(); ++j)
+            for (int i = 0; i < A.mt(); ++i)
+                if (A.is_local(i, j)) {
+                    auto t = A.tile(i, j);
+                    int const r_last = i * nb + t.mb() - 1;
+                    int const c_last = j * nb + t.nb() - 1;
+                    EXPECT_EQ(t(t.mb() - 1, t.nb() - 1),
+                              static_cast<double>(r_last + 100 * c_last));
+                }
     });
-    EXPECT_EQ(std::accumulate(owned.begin(), owned.end(), 0), 25);
-    for (auto c : owned)  // 5x5 tiles over 2x2 grid: 4/6/6/9 or similar
-        EXPECT_GT(c, 0);
+    // 6x5 tiles over a 2x3 grid: 3 block rows each, block columns 2/2/1.
+    EXPECT_EQ(owned, (std::vector<int>{6, 6, 3, 6, 6, 3}));
 }
 
 TEST(CommDist, ColSumsMatchDense) {

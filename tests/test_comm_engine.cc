@@ -140,7 +140,7 @@ TEST(CommEngine, QrPipelineBitIdentical) {
 
 TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
     // The engine-task SUMMA (sends/recvs/gemms as dataflow tasks) must
-    // reproduce the blocking SPMD dist_gemm exactly — same accumulation
+    // reproduce the blocking SPMD summa_25d exactly — same accumulation
     // order — at every worker count, including the sequential engine.
     using T = double;
     int const m = 18, k = 14, n = 11, nb = 4;
@@ -161,7 +161,7 @@ TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
                 A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
                 B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
                 C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
+                comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
                 auto d = comm::dist_gather(c, C);
                 if (c.rank() == 0)
                     ref_c = d;

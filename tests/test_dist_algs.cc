@@ -71,8 +71,8 @@ TEST(DistAlgs, SummaGemmMatchesDense) {
             A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
             B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
             C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-            comm::dist_gemm(c, comm::ProcGrid3d{p, q, 1}, 2.0, A, B, -1.0,
-                            C);
+            comm::summa_25d(c, comm::ProcGrid3d{p, q, 1}, Op::NoTrans, 2.0, A,
+                            B, -1.0, C);
             auto D = gather(C, c);
             if (c.rank() == 0)
                 err = ref::diff_fro(D, Cref);

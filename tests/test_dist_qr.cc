@@ -185,7 +185,7 @@ TEST(DistQdwhFull, BothBranchesMatchSharedMemory) {
 
 TEST(DistQdwhFull, RectangularIllConditioned) {
     using T = double;
-    int const m = 24, n = 12, nb = 4;  // m % nb == 0 as the driver requires
+    int const m = 24, n = 12, nb = 4;
     gen::MatGenOptions opt;
     opt.cond = 1e10;
     opt.seed = 505;
@@ -206,6 +206,52 @@ TEST(DistQdwhFull, RectangularIllConditioned) {
     });
     EXPECT_LE(ref::orthogonality(U) / std::sqrt(double(n)), 1e-13);
     // U H reconstructs A with H = sym(U^H A).
+    auto UhA = ref::gemm(Op::ConjTrans, Op::NoTrans, 1.0, U, Ad);
+    ref::Dense<T> Hs(n, n);
+    for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+            Hs(i, j) = 0.5 * (UhA(i, j) + conj_val(UhA(j, i)));
+    auto UH = ref::gemm(Op::NoTrans, Op::NoTrans, 1.0, U, Hs);
+    EXPECT_LE(ref::diff_fro(UH, Ad) / ref::norm_fro(Ad), 1e-13);
+}
+
+TEST(DistQdwhFull, RaggedLastBlockRow) {
+    // m % nb != 0: the stacked workspace keeps A's ragged block row on top
+    // of the identity block. cond 1e10 runs QR iterations, then Cholesky.
+    using T = double;
+    int const m = 22, n = 16, nb = 4;
+    double const l0 = 1e-10;
+    gen::MatGenOptions opt;
+    opt.cond = 1e10;
+    opt.seed = 506;
+    rt::Engine eng(2);
+    auto Ad = ref::to_dense(gen::cond_matrix<T>(eng, m, n, nb, opt));
+
+    Grid g{2, 2};
+    comm::World world(4);
+    ref::Dense<T> U;
+    comm::DistQdwhInfo info;
+    world.run([&](comm::Communicator& c) {
+        comm::DistMatrix<T> A(c, m, n, nb, g);
+        A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
+        auto inf = comm::dist_qdwh(c, g, A, l0);
+        auto D = gather(A, c);
+        if (c.rank() == 0) {
+            U = D;
+            info = inf;
+        }
+    });
+    int qr = 0;
+    double li = l0;
+    for (int k = 0; k < info.iterations; ++k) {
+        auto const w = prec::qdwh_weights(li);
+        qr += w.qr ? 1 : 0;
+        li = w.li_next;
+    }
+    EXPECT_GT(qr, 0);
+    EXPECT_LT(qr, info.iterations);
+
+    EXPECT_LE(ref::orthogonality(U) / std::sqrt(double(n)), 1e-13);
     auto UhA = ref::gemm(Op::ConjTrans, Op::NoTrans, 1.0, U, Ad);
     ref::Dense<T> Hs(n, n);
     for (int j = 0; j < n; ++j)

@@ -43,7 +43,7 @@ comm::coll::Config det_cfg(bool deterministic) {
     return cfg;
 }
 
-/// One C := 2 A B - C on a p*q*c world through the SPMD dist_gemm or (tasks)
+/// One C := 2 A B - C on a p*q*c world through the SPMD summa_25d or (tasks)
 /// the engine-task dist_gemm_tasks; returns rank 0's gathered C. At c == 1
 /// this is the plain 2D SUMMA, the oracle of the replicated runs.
 template <typename T>
@@ -66,7 +66,7 @@ std::vector<T> run_gemm(ref::Dense<T> const& Da, ref::Dense<T> const& Db,
             rt::Engine eng(workers, mode);
             comm::dist_gemm_tasks(c, eng, g3, T(2), A, B, T(-1), C);
         } else {
-            comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
+            comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
         }
         auto d = comm::dist_gather(c, C);
         if (c.rank() == 0)
@@ -119,7 +119,7 @@ TEST(Summa25d, GemmMatches2dOracleBitwise) {
 }
 
 TEST(Summa25d, GemmTasksMatchSpmdBitwise) {
-    // The engine-task gemm must reproduce the SPMD dist_gemm on a replicated
+    // The engine-task gemm must reproduce the SPMD summa_25d on a replicated
     // grid exactly at every worker count, in both reduction modes (the task DAG
     // orders the folds identically; only the overlap differs).
     using T = double;
@@ -228,7 +228,7 @@ TEST(Summa25d, VolumeModelMatchesMeasured) {
                     [&](std::int64_t i, std::int64_t j) { return Db(i, j); });
                 C.fill(
                     [&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::dist_gemm(c, g3, T(2), A, B, T(-1), C);
+                comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
             });
             auto rep = perf::comm_report(world);
             auto v = perf::summa_volume(m, n, k, nb, sizeof(T), g3.p, g3.q,

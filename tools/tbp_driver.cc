@@ -172,6 +172,12 @@ Args parse(int argc, char** argv) {
         };
         if (!std::strcmp(argv[i], "--algo")) {
             a.algo = need("--algo");
+            if (a.algo != "qdwh" && a.algo != "zolo" && a.algo != "newton"
+                && a.algo != "svdpd" && a.algo != "svd" && a.algo != "dqdwh"
+                && a.algo != "serve") {
+                std::fprintf(stderr, "unknown --algo %s\n", a.algo.c_str());
+                usage(argv[0]);
+            }
         } else if (!std::strcmp(argv[i], "--m")) {
             a.m = std::atoll(need("--m"));
         } else if (!std::strcmp(argv[i], "--n")) {
@@ -296,11 +302,9 @@ Args parse(int argc, char** argv) {
         std::exit(2);
     }
     if (a.gp == 0) {
-        // Near-square grid: largest divisor of P not above sqrt(P).
-        for (int p = 1; p * p <= a.ranks; ++p)
-            if (a.ranks % p == 0)
-                a.gp = p;
-        a.gq = a.ranks / a.gp;
+        Grid const g = comm::near_square_grid(a.ranks);
+        a.gp = g.p;
+        a.gq = g.q;
     } else if (a.gp * a.gq != a.ranks) {
         a.ranks = a.gp * a.gq;  // an explicit grid defines the rank count
     }
@@ -470,10 +474,6 @@ int run_dense(Args const& a) {
 /// allreduce shape.
 template <typename T>
 int run_dist(Args const& a) {
-    if (a.m % a.nb != 0) {
-        std::fprintf(stderr, "dqdwh requires m %% nb == 0\n");
-        return 2;
-    }
     rt::Engine eng(a.threads);
     gen::MatGenOptions opt;
     opt.cond = a.cond;
