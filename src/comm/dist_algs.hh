@@ -29,7 +29,6 @@
 #include "blas/util.hh"
 #include "comm/dist.hh"
 #include "common/precision.hh"
-#include "linalg/summa_step.hh"
 
 namespace tbp::comm {
 
@@ -67,7 +66,7 @@ Staged<T> recv_tile(Communicator& c, int mb, int nb, int src, int tag) {
 inline std::vector<int> row_group(Grid g, int i) {
     std::vector<int> out;
     for (int col = 0; col < g.q; ++col)
-        out.push_back((i % g.p) * g.q + col);
+        out.push_back(g.owner(i, col));
     return out;
 }
 
@@ -75,7 +74,7 @@ inline std::vector<int> row_group(Grid g, int i) {
 inline std::vector<int> col_group(Grid g, int j) {
     std::vector<int> out;
     for (int row = 0; row < g.p; ++row)
-        out.push_back(row * g.q + j % g.q);
+        out.push_back(g.owner(row, j));
     return out;
 }
 

@@ -5,13 +5,14 @@
 // — the per-step contribution never exists as a single rounded value, so it
 // cannot be computed on another rank and shipped. The helpers below compute
 // each step's contribution into a zeroed product tile first (one rounding
-// per element) and fold it with a single elementwise add. Every distributed
-// SUMMA path (the 2D SPMD oracle, the engine-task variant, the 2.5D
-// replicated-layer path, and dqdwh's trailing Q1 Q2^H update) goes through
-// this primitive, which is exactly what makes the 2.5D path's shipped
-// product tiles bit-identical to the 2D oracle's local ascending-l fold:
-// the fold is C = ((beta*C + z_0) + z_1) + ... with each z_l a rounded
-// value that is the same no matter which layer computed it.
+// per element) and fold it with a single elementwise add. Every step of the
+// one distributed SUMMA, comm::summa_25d (all of them on layer 0 at c = 1,
+// the 2D case; a block of them on each remote layer at c > 1; dqdwh's
+// trailing Q1 Q2^H update included), goes through this primitive, which is
+// exactly what makes the 2.5D path's shipped product tiles bit-identical to
+// the 2D oracle's local ascending-l fold: the fold is
+// C = ((beta*C + z_0) + z_1) + ... with each z_l a rounded value that is the
+// same no matter which layer computed it.
 
 #pragma once
 
@@ -23,9 +24,9 @@
 
 namespace tbp::la {
 
-/// Per-thread product-tile scratch: distributed gemm tasks on distinct C
-/// tiles may run concurrently on one rank's engine workers, so the scratch
-/// is thread-local (same pattern as the kernel pack arenas).
+/// Per-thread product-tile scratch: every virtual rank runs on its own
+/// thread, so the scratch is thread-local (same pattern as the kernel pack
+/// arenas).
 template <typename T>
 inline std::vector<T>& summa_step_scratch() {
     thread_local std::vector<T> buf;

@@ -35,6 +35,11 @@ struct Grid {
     int p = 1;
     int q = 1;
     int size() const { return p * q; }
+
+    /// Block-cyclic owner rank of tile (i, j): grid row i % p, grid column
+    /// j % q, ranks numbered row-major. Every tile owner is derived from
+    /// this one formula.
+    int owner(int i, int j) const { return (i % p) * q + j % q; }
 };
 
 template <typename T>
@@ -111,7 +116,7 @@ public:
     /// Block-cyclic owner rank of tile (i, j) — indices global to storage so
     /// that sub-views keep the parent's ownership.
     int owner_rank(int i, int j) const {
-        return ((i0_ + i) % s_->grid.p) * s_->grid.q + (j0_ + j) % s_->grid.q;
+        return s_->grid.owner(i0_ + i, j0_ + j);
     }
 
     /// Whether tile (i, j) has storage here.

@@ -199,34 +199,19 @@ CollVolume collective_volume(CollKind kind, comm::coll::Algo algo, int nranks,
     return out;
 }
 
-namespace {
-
-std::vector<int> chop_dim(std::int64_t n, int nb) {
-    std::vector<int> out;
-    while (n > 0) {
-        int const b = n < nb ? static_cast<int>(n) : nb;
-        out.push_back(b);
-        n -= b;
-    }
-    return out;
-}
-
-}  // namespace
-
 SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
                          int nb, std::size_t elem_bytes, int p, int q, int c,
                          bool deterministic) {
     comm::ProcGrid3d const g3{p, q, c};
-    auto const rb = chop_dim(m, nb);
-    auto const cb = chop_dim(n, nb);
-    auto const kb = chop_dim(k, nb);
+    Grid const g = g3.layer();
+    // Tile sizes only: the model runs inside the timed plan selection, so it
+    // builds no TiledMatrix (and allocates no tile storage).
+    auto const rb = TiledMatrix<double>::chop(m, nb);
+    auto const cb = TiledMatrix<double>::chop(n, nb);
+    auto const kb = TiledMatrix<double>::chop(k, nb);
     int const mt = static_cast<int>(rb.size());
     int const nt = static_cast<int>(cb.size());
     int const kt = static_cast<int>(kb.size());
-
-    auto owner_a = [&](int i, int l) { return (i % p) * q + (l % q); };
-    auto owner_b = [&](int l, int j) { return (l % p) * q + (j % q); };
-    auto owner_c = [&](int i, int j) { return (i % p) * q + (j % q); };
 
     VolumeSim v(g3.size(), elem_bytes);
     SummaVolume sv;
@@ -245,7 +230,7 @@ SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
         auto const ke = static_cast<std::size_t>(kb[static_cast<size_t>(l)]);
         for (int i = 0; i < mt; ++i) {
             auto const e = static_cast<std::size_t>(rb[static_cast<size_t>(i)]) * ke;
-            int const own = owner_a(i, l);
+            int const own = g.owner(i, l);
             if (lay != 0)
                 add(own, e, sv.fiber_bytes);
             for (int r = 0; r < q - 1; ++r)
@@ -253,7 +238,7 @@ SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
         }
         for (int j = 0; j < nt; ++j) {
             auto const e = ke * static_cast<std::size_t>(cb[static_cast<size_t>(j)]);
-            int const own = owner_b(l, j);
+            int const own = g.owner(l, j);
             if (lay != 0)
                 add(own, e, sv.fiber_bytes);
             for (int r = 0; r < p - 1; ++r)
@@ -263,7 +248,7 @@ SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
             // ExactOrder: one product tile per C tile per remote step.
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i)
-                    add(g3.global(lay, owner_c(i, j)),
+                    add(g3.global(lay, g.owner(i, j)),
                         static_cast<std::size_t>(rb[static_cast<size_t>(i)])
                             * static_cast<std::size_t>(
                                 cb[static_cast<size_t>(j)]),
@@ -277,7 +262,7 @@ SummaVolume summa_volume(std::int64_t m, std::int64_t n, std::int64_t k,
                 continue;
             for (int j = 0; j < nt; ++j)
                 for (int i = 0; i < mt; ++i)
-                    add(g3.global(lay, owner_c(i, j)),
+                    add(g3.global(lay, g.owner(i, j)),
                         static_cast<std::size_t>(rb[static_cast<size_t>(i)])
                             * static_cast<std::size_t>(
                                 cb[static_cast<size_t>(j)]),

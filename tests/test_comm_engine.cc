@@ -1,15 +1,13 @@
-// Comm/compute integration: the default collectives and the task-runtime
-// communication tasks must reproduce the all-Linear collective oracle
-// bit-for-bit — same kernels, same values, same combine order — for every
-// scalar type and a sweep of process grids, while the traffic counters stay
-// leak-free.
+// Comm/compute integration: the default collectives must reproduce the
+// all-Linear collective oracle bit-for-bit — same kernels, same values, same
+// combine order — for every scalar type and a sweep of process grids, while
+// the traffic counters stay leak-free.
 
 #include <gtest/gtest.h>
 
 #include <complex>
 #include <cstring>
 
-#include "comm/comm_task.hh"
 #include "comm/dist_qdwh.hh"
 #include "comm/dist_qr.hh"
 #include "gen/matgen.hh"
@@ -135,64 +133,6 @@ TEST(CommEngine, QrPipelineBitIdentical) {
         auto linear = run_qr(Ad, nb, g, linear_cfg());
         auto engine = run_qr(Ad, nb, g, engine_cfg());
         EXPECT_TRUE(bits_equal(linear, engine)) << p << "x" << q;
-    }
-}
-
-TEST(CommEngine, GemmTasksMatchSpmdBitwise) {
-    // The engine-task SUMMA (sends/recvs/gemms as dataflow tasks) must
-    // reproduce the blocking SPMD summa_25d exactly — same accumulation
-    // order — at every worker count, including the sequential engine.
-    using T = double;
-    int const m = 18, k = 14, n = 11, nb = 4;
-    auto Da = ref::random_dense<T>(m, k, 613);
-    auto Db = ref::random_dense<T>(k, n, 614);
-    auto Dc = ref::random_dense<T>(m, n, 615);
-
-    for (auto [p, q] : {std::pair{2, 2}, {3, 1}}) {
-        Grid g{p, q};
-        comm::ProcGrid3d const g3{p, q, 1};
-
-        std::vector<T> ref_c;
-        {
-            comm::World world(g.size());
-            world.run([&](comm::Communicator& c) {
-                comm::DistMatrix<T> A(c, m, k, nb, g), B(c, k, n, nb, g),
-                    C(c, m, n, nb, g);
-                A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
-                B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
-                C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
-                auto d = comm::dist_gather(c, C);
-                if (c.rank() == 0)
-                    ref_c = d;
-            });
-        }
-
-        struct EngCase {
-            int workers;
-            rt::Mode mode;
-        };
-        for (auto ec : {EngCase{1, rt::Mode::Sequential},
-                        EngCase{1, rt::Mode::TaskDataflow},
-                        EngCase{2, rt::Mode::TaskDataflow}}) {
-            comm::World world(g.size());
-            std::vector<T> task_c;
-            world.run([&](comm::Communicator& c) {
-                rt::Engine eng(ec.workers, ec.mode);
-                comm::DistMatrix<T> A(c, m, k, nb, g), B(c, k, n, nb, g),
-                    C(c, m, n, nb, g);
-                A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
-                B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
-                C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-                comm::dist_gemm_tasks(c, eng, g3, T(2), A, B, T(-1), C);
-                auto d = comm::dist_gather(c, C);
-                if (c.rank() == 0)
-                    task_c = d;
-            });
-            EXPECT_EQ(world.leaked_messages(), 0u);
-            EXPECT_TRUE(bits_equal(ref_c, task_c))
-                << p << "x" << q << " workers=" << ec.workers;
-        }
     }
 }
 

@@ -1,6 +1,6 @@
-// 2.5D SUMMA correctness: the replicated-layer gemm (SPMD and engine-task
-// forms) and the 2.5D distributed QDWH must be bit-identical to their 2D
-// oracles in deterministic (ExactOrder) mode across grid shapes, including
+// 2.5D SUMMA correctness: the replicated-layer gemm and the 2.5D distributed
+// QDWH must be bit-identical to their 2D oracles in deterministic
+// (ExactOrder) mode across grid shapes, including
 // non-power-of-two layer grids and ragged tile edges; PartialSum mode must
 // be reproducible at a fixed grid and accurate against dense references.
 // The traffic model (perf::summa_volume) and the 2D/2.5D auto-selector are
@@ -13,7 +13,6 @@
 #include <utility>
 #include <vector>
 
-#include "comm/comm_task.hh"
 #include "comm/dist_qdwh.hh"
 #include "comm/dist_summa25.hh"
 #include "gen/matgen.hh"
@@ -43,15 +42,13 @@ comm::coll::Config det_cfg(bool deterministic) {
     return cfg;
 }
 
-/// One C := 2 A B - C on a p*q*c world through the SPMD summa_25d or (tasks)
-/// the engine-task dist_gemm_tasks; returns rank 0's gathered C. At c == 1
+/// One C := 2 A B - C on a p*q*c world through summa_25d; returns rank 0's
+/// gathered C. At c == 1
 /// this is the plain 2D SUMMA, the oracle of the replicated runs.
 template <typename T>
 std::vector<T> run_gemm(ref::Dense<T> const& Da, ref::Dense<T> const& Db,
                         ref::Dense<T> const& Dc, int nb,
-                        comm::ProcGrid3d g3, comm::coll::Config cfg,
-                        bool tasks, int workers = 2,
-                        rt::Mode mode = rt::Mode::TaskDataflow) {
+                        comm::ProcGrid3d g3, comm::coll::Config cfg) {
     comm::World world(g3.size());
     world.set_coll_config(cfg);
     Grid const g = g3.layer();
@@ -62,12 +59,7 @@ std::vector<T> run_gemm(ref::Dense<T> const& Da, ref::Dense<T> const& Db,
         A.fill([&](std::int64_t i, std::int64_t j) { return Da(i, j); });
         B.fill([&](std::int64_t i, std::int64_t j) { return Db(i, j); });
         C.fill([&](std::int64_t i, std::int64_t j) { return Dc(i, j); });
-        if (tasks) {
-            rt::Engine eng(workers, mode);
-            comm::dist_gemm_tasks(c, eng, g3, T(2), A, B, T(-1), C);
-        } else {
-            comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
-        }
+        comm::summa_25d(c, g3, Op::NoTrans, T(2), A, B, T(-1), C);
         auto d = comm::dist_gather(c, C);
         if (c.rank() == 0)
             out = d;
@@ -111,40 +103,10 @@ TEST(Summa25d, GemmMatches2dOracleBitwise) {
 
     for (auto g3 : kGrids25) {
         comm::ProcGrid3d g2{g3.p, g3.q, 1};
-        auto oracle = run_gemm(Da, Db, Dc, nb, g2, det_cfg(true), false);
-        auto got = run_gemm(Da, Db, Dc, nb, g3, det_cfg(true), false);
+        auto oracle = run_gemm(Da, Db, Dc, nb, g2, det_cfg(true));
+        auto got = run_gemm(Da, Db, Dc, nb, g3, det_cfg(true));
         EXPECT_TRUE(bits_equal(oracle, got))
             << g3.p << "x" << g3.q << "x" << g3.c;
-    }
-}
-
-TEST(Summa25d, GemmTasksMatchSpmdBitwise) {
-    // The engine-task gemm must reproduce the SPMD summa_25d on a replicated
-    // grid exactly at every worker count, in both reduction modes (the task DAG
-    // orders the folds identically; only the overlap differs).
-    using T = double;
-    int const m = 18, k = 14, n = 11, nb = 4;
-    auto Da = ref::random_dense<T>(m, k, 711);
-    auto Db = ref::random_dense<T>(k, n, 712);
-    auto Dc = ref::random_dense<T>(m, n, 713);
-
-    for (bool det : {true, false}) {
-        for (auto g3 : {comm::ProcGrid3d{2, 1, 2}, comm::ProcGrid3d{2, 2, 2}}) {
-            auto spmd = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), false);
-            struct EngCase {
-                int workers;
-                rt::Mode mode;
-            };
-            for (auto ec : {EngCase{1, rt::Mode::Sequential},
-                            EngCase{1, rt::Mode::TaskDataflow},
-                            EngCase{2, rt::Mode::TaskDataflow}}) {
-                auto tasks = run_gemm(Da, Db, Dc, nb, g3, det_cfg(det), true,
-                                      ec.workers, ec.mode);
-                EXPECT_TRUE(bits_equal(spmd, tasks))
-                    << g3.p << "x" << g3.q << "x" << g3.c
-                    << " det=" << det << " workers=" << ec.workers;
-            }
-        }
     }
 }
 
@@ -185,9 +147,10 @@ TEST(Summa25d, PartialSumReproducibleAndAccurate) {
         for (int i = 0; i < m; ++i)
             Cref(i, j) -= Dc(i, j);  // beta = -1
 
-    for (auto g3 : {comm::ProcGrid3d{2, 1, 2}, comm::ProcGrid3d{2, 2, 4}}) {
-        auto one = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), false);
-        auto two = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false), false);
+    for (auto g3 : {comm::ProcGrid3d{2, 1, 2}, comm::ProcGrid3d{2, 2, 2},
+                    comm::ProcGrid3d{2, 2, 4}}) {
+        auto one = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false));
+        auto two = run_gemm(Da, Db, Dc, nb, g3, det_cfg(false));
         EXPECT_TRUE(bits_equal(one, two))
             << g3.p << "x" << g3.q << "x" << g3.c;
         ASSERT_EQ(one.size(), static_cast<size_t>(m) * n);
@@ -213,8 +176,8 @@ TEST(Summa25d, VolumeModelMatchesMeasured) {
     auto Db = ref::random_dense<T>(k, n, 742);
     auto Dc = ref::random_dense<T>(m, n, 743);
 
-    for (auto g3 : {comm::ProcGrid3d{2, 2, 1}, comm::ProcGrid3d{3, 1, 2},
-                    comm::ProcGrid3d{2, 2, 2}}) {
+    for (auto g3 : {comm::ProcGrid3d{2, 2, 1}, comm::ProcGrid3d{2, 3, 1},
+                    comm::ProcGrid3d{3, 1, 2}, comm::ProcGrid3d{2, 2, 2}}) {
         for (bool det : {true, false}) {
             comm::World world(g3.size());
             world.set_coll_config(det_cfg(det));

@@ -63,7 +63,6 @@ struct Args {
     bool verbose = false;
     int ranks = 4;             // --algo dqdwh: virtual ranks
     int gp = 0, gq = 0;        // process grid (0 -> auto near-square)
-    std::string comm = "engine";  // engine | ring
     comm::CommPlan comm_plan = comm::CommPlan::Auto;  // --comm-plan
     int jobs = 200;            // --algo serve: batch size
     double rate = 0;           // arrival rate jobs/s (0 -> submit at once)
@@ -111,7 +110,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "loguni]\n"
                  "          [--type s|d|c|z] [--mode task|forkjoin|seq]\n"
                  "          [--threads T] [--seed S] [--r R] [--verbose]\n"
-                 "          [--ranks P] [--grid PxQ] [--comm engine|ring]\n"
+                 "          [--ranks P] [--grid PxQ]\n"
                  "          [--comm-plan auto|2d|2.5d]\n"
                  "          [--jobs J] [--rate JOBS_PER_SEC] [--fifo]\n"
                  "          [--lookahead D]\n"
@@ -135,11 +134,6 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "  --rate jobs/s Poisson arrivals (0 = all at once); --fifo "
                  "disables\n"
                  "  the priority split for an A/B baseline.\n"
-                 "  --comm selects the collective algorithms: 'engine' "
-                 "(tree/recursive-\n"
-                 "  doubling, pipelined staging), 'ring' (bandwidth-optimal\n"
-                 "  allreduce; re-associates, deterministic only at fixed "
-                 "P).\n"
                  "  --comm-plan picks the SUMMA variant for dqdwh's trailing "
                  "gemms:\n"
                  "  'auto' costs 2D vs replicated-layer 2.5D with the "
@@ -249,12 +243,6 @@ Args parse(int argc, char** argv) {
                 a.precision = prec::Precision::Adaptive;
             } else {
                 std::fprintf(stderr, "unknown --precision %s\n", p.c_str());
-                usage(argv[0]);
-            }
-        } else if (!std::strcmp(argv[i], "--comm")) {
-            a.comm = need("--comm");
-            if (a.comm != "engine" && a.comm != "ring") {
-                std::fprintf(stderr, "unknown --comm %s\n", a.comm.c_str());
                 usage(argv[0]);
             }
         } else if (!std::strcmp(argv[i], "--comm-plan")) {
@@ -481,12 +469,7 @@ int run_dist(Args const& a) {
     opt.seed = a.seed;
     auto Ad = ref::to_dense(gen::cond_matrix<T>(eng, a.m, a.n, a.nb, opt));
 
-    comm::coll::Config cfg;
-    if (a.comm == "ring") {
-        cfg.allreduce = comm::coll::Algo::Ring;
-        cfg.allgather = comm::coll::Algo::Ring;
-        cfg.deterministic = false;
-    }
+    comm::coll::Config const cfg;
     // Resolve the SUMMA plan for the trailing updates: the chooser costs
     // every c | P for the reduction mode that will run and takes the
     // max_rank_bytes minimizer (--comm-plan 2d / 2.5d restricts it).
@@ -500,7 +483,6 @@ int run_dist(Args const& a) {
                               : comm::ProcGrid3d{plan.p, plan.q, plan.c};
     Grid const g = g3.layer();
     comm::World world(a.ranks);
-    world.set_coll_config(cfg);
     auto const plan_f = make_fault_plan(a);
     if (plan_f.enabled()) {
         world.set_fault(plan_f, make_retry_config(a));
@@ -537,11 +519,10 @@ int run_dist(Args const& a) {
     double const bwd = ref::diff_fro(UH, Ad) / ref::norm_fro(Ad);
 
     std::printf("algo=dqdwh type=%c m=%lld n=%lld nb=%d cond=%.1e ranks=%d "
-                "grid=%dx%dx%d comm=%s plan=%s\n",
+                "grid=%dx%dx%d plan=%s\n",
                 a.type, static_cast<long long>(a.m),
                 static_cast<long long>(a.n), a.nb, a.cond, a.ranks, g3.p,
-                g3.q, g3.c, a.comm.c_str(),
-                comm::comm_plan_name(a.comm_plan));
+                g3.q, g3.c, comm::comm_plan_name(a.comm_plan));
     std::printf("  summa model: chosen %dx%dx%d max_rank_bytes %llu "
                 "(2d %llu)  stage %llu  fiber %llu  reduce %llu\n",
                 g3.p, g3.q, g3.c,
